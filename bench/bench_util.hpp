@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <utility>
@@ -19,8 +20,11 @@
 
 #include "analysis/evaluation.hpp"
 #include "analysis/stats.hpp"
+#include "core/checked_parse.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace_writer.hpp"
+#include "sim/thread_pool.hpp"
+#include "testbed/campaign.hpp"
 
 namespace tcppred::bench {
 
@@ -53,8 +57,16 @@ inline std::vector<std::pair<std::string, analysis::ecdf>> rmsre_cdf_series(
 inline void banner(const std::string& title, const std::string& paper_claim) {
     // Every bench prints a banner first, which makes this the one place to
     // honor $REPRO_TRACE / $REPRO_METRICS regardless of which engine entry
-    // point the bench uses.
+    // point the bench uses — and to vet the campaign-cache knobs before any
+    // work: garbage exits 2 naming the variable, like the tools.
     obs::init_from_env();
+    try {
+        (void)testbed::scale_from_env();
+        (void)sim::jobs_from_env();
+    } catch (const core::parse_error& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
+    }
     std::printf("== %s ==\n", title.c_str());
     std::printf("paper: %s\n\n", paper_claim.c_str());
 }

@@ -12,7 +12,9 @@
 // truncated or defaulted number.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -56,5 +58,10 @@ private:
 /// format), but the whole token must parse and the result must be finite.
 [[nodiscard]] double parse_checked_double(std::string_view knob, std::string_view text,
                                           double min, double max);
+
+/// Parse `text` as exactly one of `choices` (case-sensitive, whole token)
+/// and return its index in the list. The rejection names every choice.
+[[nodiscard]] std::size_t parse_checked_choice(std::string_view knob, std::string_view text,
+                                               std::initializer_list<std::string_view> choices);
 
 }  // namespace tcppred::core

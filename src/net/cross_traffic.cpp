@@ -1,5 +1,7 @@
 #include "net/cross_traffic.hpp"
 
+#include <cmath>
+
 namespace tcppred::net {
 
 poisson_source::poisson_source(sim::scheduler& sched, duplex_path& path,
@@ -131,6 +133,10 @@ void pareto_onoff_source::emit(double until) {
     p.sent_at = sched_->now();
     path_->inject_forward(link_index_, p);
     const double spacing = cfg_.packet_bytes * 8.0 / cfg_.peak_rate_bps;
+    // A zero mean rate (a path without a bursty share) means a zero peak
+    // rate: the burst's first packet is its last, and the source falls
+    // silent for good rather than parking an event at t = +inf.
+    if (!std::isfinite(spacing)) return;
     sched_->schedule_in(spacing, [this, until] { emit(until); });
 }
 

@@ -1,13 +1,18 @@
-// Small-buffer move-only callable: the event callback type of the
+// Small-buffer callable slot: the event callback storage of the
 // discrete-event scheduler. Unlike std::function, captures up to
 // k_inline_bytes live inside the object itself — scheduling a packet
 // delivery (capturing ~64 bytes of lambda state) performs no heap
 // allocation. Larger callables transparently fall back to the heap, so any
 // `void()` callable is accepted; the steady-state simulation path never
 // produces one that spills.
+//
+// The slot is constructed in place (emplace) and consumed in place
+// (invoke_and_reset): a callable never moves after construction, so the
+// type needs no move operations.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -18,18 +23,20 @@ class small_callback {
 public:
     /// Inline capture capacity. Sized for the largest steady-state capture
     /// in the simulator: a lambda holding `this` plus a net::packet by value
-    /// (8 + 56 bytes). Checked by static_asserts at the capture sites that
-    /// matter (net/link.cpp) and by tests/scheduler_test.cpp.
+    /// (8 + 56 bytes). Checked by tests/scheduler_test.cpp.
     static constexpr std::size_t k_inline_bytes = 80;
 
     small_callback() noexcept = default;
+    small_callback(const small_callback&) = delete;
+    small_callback& operator=(const small_callback&) = delete;
+    ~small_callback() { reset(); }
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, small_callback> &&
-                  std::is_invocable_r_v<void, std::decay_t<F>&>>>
-    small_callback(F&& f) {  // NOLINT(google-explicit-constructor): callback sink
+    /// Construct `f` in place. Precondition: empty. If constructing the
+    /// callable throws, the slot stays empty.
+    template <typename F>
+    void emplace(F&& f) {
         using fn = std::decay_t<F>;
+        static_assert(std::is_invocable_r_v<void, fn&>, "event callbacks are void()");
         if constexpr (sizeof(fn) <= k_inline_bytes &&
                       alignof(fn) <= alignof(std::max_align_t)) {
             ::new (static_cast<void*>(storage_)) fn(std::forward<F>(f));
@@ -40,30 +47,6 @@ public:
         }
     }
 
-    small_callback(small_callback&& other) noexcept : vt_(other.vt_) {
-        if (vt_ != nullptr) {
-            vt_->relocate(other.storage_, storage_);
-            other.vt_ = nullptr;
-        }
-    }
-
-    small_callback& operator=(small_callback&& other) noexcept {
-        if (this != &other) {
-            reset();
-            vt_ = other.vt_;
-            if (vt_ != nullptr) {
-                vt_->relocate(other.storage_, storage_);
-                other.vt_ = nullptr;
-            }
-        }
-        return *this;
-    }
-
-    small_callback(const small_callback&) = delete;
-    small_callback& operator=(const small_callback&) = delete;
-
-    ~small_callback() { reset(); }
-
     /// Destroy the held callable (no-op when empty).
     void reset() noexcept {
         if (vt_ != nullptr) {
@@ -72,38 +55,38 @@ public:
         }
     }
 
-    [[nodiscard]] explicit operator bool() const noexcept { return vt_ != nullptr; }
-
-    void operator()() { vt_->invoke(storage_); }
+    /// Invoke the held callable once and destroy it, leaving the slot empty;
+    /// the callable is destroyed even when the call throws. Precondition:
+    /// not empty. One indirect call covers both steps.
+    void invoke_and_reset() { std::exchange(vt_, nullptr)->invoke_and_destroy(storage_); }
 
 private:
     struct vtable {
-        void (*invoke)(void* self);
-        /// Move-construct the callable from `from` into `to`, destroying the
-        /// source. Must not throw: event nodes relocate while the queue is
-        /// in a partially updated state.
-        void (*relocate)(void* from, void* to) noexcept;
+        void (*invoke_and_destroy)(void* self);
         void (*destroy)(void* self) noexcept;
     };
 
     template <typename Fn>
+    struct destroy_on_exit {
+        Fn* f;
+        ~destroy_on_exit() { f->~Fn(); }
+    };
+
+    template <typename Fn>
     static constexpr vtable vtable_inline{
-        [](void* self) { (*std::launder(reinterpret_cast<Fn*>(self)))(); },
-        [](void* from, void* to) noexcept {
-            Fn* src = std::launder(reinterpret_cast<Fn*>(from));
-            ::new (to) Fn(std::move(*src));
-            src->~Fn();
+        [](void* self) {
+            Fn* f = std::launder(reinterpret_cast<Fn*>(self));
+            const destroy_on_exit<Fn> guard{f};
+            (*f)();
         },
         [](void* self) noexcept { std::launder(reinterpret_cast<Fn*>(self))->~Fn(); },
     };
 
     template <typename Fn>
     static constexpr vtable vtable_heap{
-        [](void* self) { (**std::launder(reinterpret_cast<Fn**>(self)))(); },
-        [](void* from, void* to) noexcept {
-            Fn** src = std::launder(reinterpret_cast<Fn**>(from));
-            ::new (to) Fn*(*src);
-            *src = nullptr;
+        [](void* self) {
+            const std::unique_ptr<Fn> f(*std::launder(reinterpret_cast<Fn**>(self)));
+            (*f)();
         },
         [](void* self) noexcept { delete *std::launder(reinterpret_cast<Fn**>(self)); },
     };

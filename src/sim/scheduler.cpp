@@ -15,24 +15,36 @@ constexpr std::size_t k_pool_chunk = 256;    // nodes per pool growth
 /// calendar-queue analysis wants a small multiple so the scan visits ~1
 /// live event per bucket without long intra-bucket insertion walks.
 constexpr double k_width_gap_factor = 4.0;
+/// Saturation point of bucket_key: far-future times share one virtual
+/// bucket (ordered inside it by `when`) instead of overflowing int64.
+constexpr double k_max_bucket_key = 0x1p62;
 }  // namespace
 
 scheduler::scheduler() : buckets_(k_min_buckets, nullptr), bucket_mask_(k_min_buckets - 1) {}
 
 scheduler::~scheduler() = default;
 
-double scheduler::virtual_bucket(time_point t) const noexcept {
-    return std::floor(t * inv_width_);
+std::int64_t scheduler::bucket_key(time_point t) const noexcept {
+    return static_cast<std::int64_t>(std::min(t * inv_width_, k_max_bucket_key));
+}
+
+time_point scheduler::admit_time(time_point when) const {
+    if (!std::isfinite(when)) {
+        throw std::invalid_argument("scheduler: event scheduled at a non-finite time");
+    }
+    // Guard against accidental scheduling into the past; tolerate tiny
+    // floating-point backsliding by clamping.
+    if (now_ - when > 1e-9) {
+        throw std::invalid_argument("scheduler: event scheduled in the past");
+    }
+    return now_;
 }
 
 scheduler::event_node* scheduler::alloc_node() {
     if (free_list_ == nullptr) {
         chunks_.push_back(std::make_unique<event_node[]>(k_pool_chunk));
         event_node* chunk = chunks_.back().get();
-        for (std::size_t i = k_pool_chunk; i > 0; --i) {
-            chunk[i - 1].next = free_list_;
-            free_list_ = &chunk[i - 1];
-        }
+        for (std::size_t i = k_pool_chunk; i > 0; --i) free_node(&chunk[i - 1]);
     }
     event_node* n = free_list_;
     free_list_ = n->next;
@@ -40,28 +52,25 @@ scheduler::event_node* scheduler::alloc_node() {
     return n;
 }
 
-void scheduler::release_node(event_node* n) noexcept {
-    n->id = 0;
-    n->cb.reset();
+void scheduler::free_node(event_node* n) noexcept {
+    // Fired and cancelled nodes already have id == 0 and an empty callback.
     n->next = free_list_;
     free_list_ = n;
 }
 
 void scheduler::insert_node(event_node* n) {
-    const double vb = virtual_bucket(n->when);
+    const std::int64_t vb = n->vbucket;
     // Keep the scan-position invariant: v_cur_ never exceeds the virtual
     // bucket of any pending event (otherwise the year-scan could return a
     // later event first).
     if (vb < v_cur_) {
         v_cur_ = vb;
-        cur_ = static_cast<std::size_t>(static_cast<std::uint64_t>(vb)) & bucket_mask_;
+        cur_ = static_cast<std::size_t>(vb) & bucket_mask_;
     }
-    const std::size_t idx =
-        static_cast<std::size_t>(static_cast<std::uint64_t>(vb)) & bucket_mask_;
     // Sorted insertion by (when, id): FIFO among simultaneous events. Dead
     // nodes (id == 0) order as "smaller" at equal times, which leaves the
     // relative order of live nodes untouched.
-    event_node** p = &buckets_[idx];
+    event_node** p = &buckets_[static_cast<std::size_t>(vb) & bucket_mask_];
     while (*p != nullptr &&
            ((*p)->when < n->when || ((*p)->when == n->when && (*p)->id < n->id))) {
         p = &(*p)->next;
@@ -70,19 +79,10 @@ void scheduler::insert_node(event_node* n) {
     *p = n;
 }
 
-event_handle scheduler::schedule_at(time_point when, callback cb) {
-    if (when < now_) {
-        // Guard against accidental scheduling into the past; tolerate tiny
-        // floating-point backsliding by clamping.
-        if (now_ - when > 1e-9) {
-            throw std::invalid_argument("scheduler: event scheduled in the past");
-        }
-        when = now_;
-    }
-    event_node* n = alloc_node();
+event_handle scheduler::enqueue(event_node* n, time_point when) {
     n->when = when;
     n->id = next_id_++;
-    n->cb = std::move(cb);
+    n->vbucket = bucket_key(when);
     insert_node(n);
     ++live_;
     if (live_ > buckets_.size() * 2) rebucket(buckets_.size() * 2);
@@ -106,7 +106,7 @@ void scheduler::purge_all_dead() noexcept {
         while (head != nullptr) {
             event_node* n = head;
             head = n->next;
-            release_node(n);
+            free_node(n);
         }
     }
     dead_ = 0;
@@ -127,11 +127,11 @@ const scheduler::event_node* scheduler::peek_min() {
             event_node* d = *head;
             *head = d->next;
             --dead_;
-            release_node(d);
+            free_node(d);
         }
         event_node* h = *head;
-        if (h != nullptr && virtual_bucket(h->when) <= v_cur_) return h;
-        v_cur_ += 1.0;
+        if (h != nullptr && h->vbucket <= v_cur_) return h;
+        ++v_cur_;
         cur_ = (cur_ + 1) & bucket_mask_;
         if (++scanned > buckets_.size()) {
             // A full sweep found nothing in the current "year": the queue is
@@ -148,21 +148,17 @@ const scheduler::event_node* scheduler::peek_min() {
                 }
             }
             TCPPRED_ASSERT(best != nullptr);  // live_ > 0
-            v_cur_ = virtual_bucket(best->when);
-            cur_ = static_cast<std::size_t>(static_cast<std::uint64_t>(v_cur_)) &
-                   bucket_mask_;
+            v_cur_ = best->vbucket;
+            cur_ = static_cast<std::size_t>(v_cur_) & bucket_mask_;
             scanned = 0;
         }
     }
 }
 
-scheduler::event_node* scheduler::pop_min() {
-    const event_node* c = peek_min();
-    if (c == nullptr) return nullptr;
-    // peek_min leaves the cursor on the bucket whose head is the global
-    // minimum live event.
+scheduler::event_node* scheduler::pop_head() {
+    // Precondition: peek_min() just returned non-null, which leaves the
+    // cursor on the bucket whose head is the global minimum live event.
     event_node* h = buckets_[cur_];
-    TCPPRED_ASSERT(h == c);
     buckets_[cur_] = h->next;
     h->next = nullptr;
     --live_;
@@ -188,7 +184,7 @@ void scheduler::rebucket(std::size_t new_bucket_count) {
             event_node* n = head;
             head = n->next;
             if (n->id == 0) {
-                release_node(n);
+                free_node(n);
             } else {
                 n->next = nullptr;
                 nodes.push_back(n);
@@ -199,27 +195,38 @@ void scheduler::rebucket(std::size_t new_bucket_count) {
     buckets_.assign(new_bucket_count, nullptr);
     bucket_mask_ = new_bucket_count - 1;
     if (gap_ema_ > 0.0) {
-        width_ = std::clamp(gap_ema_ * k_width_gap_factor, 1e-12, 1e9);
-        inv_width_ = 1.0 / width_;
+        inv_width_ = 1.0 / std::clamp(gap_ema_ * k_width_gap_factor, 1e-12, 1e9);
     }
-    v_cur_ = virtual_bucket(now_);
-    cur_ = static_cast<std::size_t>(static_cast<std::uint64_t>(v_cur_)) & bucket_mask_;
-    for (event_node* n : nodes) insert_node(n);
+    v_cur_ = bucket_key(now_);
+    cur_ = static_cast<std::size_t>(v_cur_) & bucket_mask_;
+    for (event_node* n : nodes) {
+        n->vbucket = bucket_key(n->when);
+        insert_node(n);
+    }
 }
 
-bool scheduler::step() {
-    event_node* n = pop_min();
-    if (n == nullptr) return false;
+void scheduler::fire(event_node* n) {
     // Dispatch must never move simulated time backwards: schedule_at
     // clamps, so a violation here means the queue ordering itself broke.
     TCPPRED_ASSERT(n->when >= now_);
     now_ = n->when;
     ++fired_;
-    // Move the callback out and recycle the node before invoking: the
-    // callback may schedule new events (which may reuse this very node).
-    small_callback cb = std::move(n->cb);
-    release_node(n);
-    cb();
+    // Spend the handle before the call, so cancelling the firing event from
+    // inside its own callback is a no-op. The node stays off the free list
+    // until the callback returns or throws, so nothing it schedules can
+    // reuse it.
+    n->id = 0;
+    struct recycle_on_exit {
+        scheduler* s;
+        event_node* n;
+        ~recycle_on_exit() { s->free_node(n); }
+    } const guard{this, n};
+    n->cb.invoke_and_reset();
+}
+
+bool scheduler::step() {
+    if (peek_min() == nullptr) return false;
+    fire(pop_head());
     return true;
 }
 
@@ -227,7 +234,7 @@ void scheduler::run_until(time_point t_end) {
     for (;;) {
         const event_node* head = peek_min();
         if (head == nullptr || head->when > t_end) break;
-        step();
+        fire(pop_head());
     }
     if (now_ < t_end) now_ = t_end;
 }

@@ -2,14 +2,17 @@
 // component (links, TCP endpoints, probers, traffic sources) runs on.
 //
 // Implementation: a calendar queue (Brown 1988) over pool-allocated event
-// nodes whose callbacks live in inline small-buffer storage
-// (sim/callback.hpp) — the steady-state schedule/fire cycle performs no
-// heap allocation. Design and contracts: DESIGN.md §13.
+// nodes whose callbacks are constructed and invoked in place in inline
+// small-buffer storage (sim/callback.hpp) — the steady-state schedule/fire
+// cycle performs no heap allocation and never moves a callback. Design and
+// contracts: DESIGN.md §13.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -40,6 +43,11 @@ struct event_handle {
 ///     scheduled (FIFO tie-breaking, by monotonically increasing event id),
 ///     which keeps packet-level simulations deterministic.
 ///
+/// Callbacks are constructed directly in their pooled event node and invoked
+/// there; they never move. While a callback runs, its own handle is already
+/// spent (cancelling it is a no-op) and the node stays off the free list, so
+/// events it schedules never reuse it.
+///
 /// Cancellation is O(1): `cancel()` marks the node dead and destroys its
 /// callback immediately; the node itself is reclaimed when the queue next
 /// walks past it (or on rebucketing). `pending()` counts such dead-but-not-
@@ -47,8 +55,6 @@ struct event_handle {
 /// counted cancelled-but-not-yet-popped entries.
 class scheduler {
 public:
-    using callback = small_callback;
-
     scheduler();
     ~scheduler();
     scheduler(const scheduler&) = delete;
@@ -57,12 +63,25 @@ public:
     /// Current simulated time.
     [[nodiscard]] time_point now() const noexcept { return now_; }
 
-    /// Schedule `cb` at absolute time `when` (must be >= now()).
-    event_handle schedule_at(time_point when, callback cb);
+    /// Schedule the `void()` callable `f` at absolute time `when`, which must
+    /// be finite and >= now(); throws std::invalid_argument otherwise.
+    template <typename F>
+    event_handle schedule_at(time_point when, F&& f) {
+        if (!(when >= now_ && std::isfinite(when))) [[unlikely]] when = admit_time(when);
+        event_node* n = alloc_node();
+        try {
+            n->cb.emplace(std::forward<F>(f));
+        } catch (...) {
+            free_node(n);
+            throw;
+        }
+        return enqueue(n, when);
+    }
 
-    /// Schedule `cb` to fire `delay` seconds from now (delay >= 0).
-    event_handle schedule_in(time_point delay, callback cb) {
-        return schedule_at(now_ + delay, std::move(cb));
+    /// Schedule `f` to fire `delay` seconds from now (delay >= 0).
+    template <typename F>
+    event_handle schedule_in(time_point delay, F&& f) {
+        return schedule_at(now_ + delay, std::forward<F>(f));
     }
 
     /// Cancel a previously scheduled event. Safe to call with an invalid,
@@ -70,7 +89,9 @@ public:
     void cancel(event_handle h);
 
     /// Fire the next pending event, advancing the clock. Returns false when
-    /// the queue is empty.
+    /// the queue is empty. If the callback throws, the exception propagates
+    /// and the scheduler stays usable: the event counts as fired and its
+    /// node is recycled.
     bool step();
 
     /// Run events until the queue is empty or the clock passes `t_end`.
@@ -97,25 +118,33 @@ private:
         time_point when{0.0};
         std::uint64_t id{0};
         event_node* next{nullptr};
+        /// Virtual (un-wrapped) bucket of `when` at the current width,
+        /// computed once per insertion.
+        std::int64_t vbucket{0};
         small_callback cb;
     };
 
+    /// Slow path of schedule_at's time check: clamps tiny floating-point
+    /// backsliding to now(), throws on the past or a non-finite time.
+    [[nodiscard]] time_point admit_time(time_point when) const;
     [[nodiscard]] event_node* alloc_node();
-    void release_node(event_node* n) noexcept;
+    void free_node(event_node* n) noexcept;
+    event_handle enqueue(event_node* n, time_point when);
     void insert_node(event_node* n);
-    [[nodiscard]] event_node* pop_min();
     [[nodiscard]] const event_node* peek_min();
+    [[nodiscard]] event_node* pop_head();
+    void fire(event_node* n);
     void rebucket(std::size_t new_bucket_count);
     void purge_all_dead() noexcept;
-    /// Virtual (un-wrapped) bucket index of an event time.
-    [[nodiscard]] double virtual_bucket(time_point t) const noexcept;
+    /// Virtual bucket of an event time: floor(t / width), by truncation
+    /// since t >= 0, saturated so far-future times stay representable.
+    [[nodiscard]] std::int64_t bucket_key(time_point t) const noexcept;
 
     // --- calendar queue ---
     std::vector<event_node*> buckets_;
     std::size_t bucket_mask_{0};   ///< buckets_.size() - 1 (power of two)
-    double width_{1e-3};           ///< bucket width, simulated seconds
-    double inv_width_{1e3};
-    double v_cur_{0.0};            ///< virtual bucket the scan is positioned at
+    double inv_width_{1e3};        ///< 1 / bucket width (simulated seconds)
+    std::int64_t v_cur_{0};        ///< virtual bucket the scan is positioned at
     std::size_t cur_{0};           ///< v_cur_ wrapped into buckets_
     std::size_t live_{0};          ///< pending, not cancelled
     std::size_t dead_{0};          ///< cancelled, not yet reclaimed

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/checked_parse.hpp"
 #include "core/contracts.hpp"
 #include "obs/counters.hpp"
 #include "obs/stopwatch.hpp"
@@ -294,11 +295,14 @@ campaign_outcome run_campaign_resumable(const campaign_config& cfg,
 
 campaign_scale scale_from_env() {
     const char* env = std::getenv("REPRO_SCALE");  // NOLINT(concurrency-mt-unsafe)
-    if (!env) return campaign_scale::normal;
-    const std::string s(env);
-    if (s == "tiny") return campaign_scale::tiny;
-    if (s == "paper") return campaign_scale::paper;
-    return campaign_scale::normal;
+    // Empty means unset, as for $REPRO_JOBS; any other unrecognized value
+    // is a typed parse_error naming the variable.
+    if (env == nullptr || *env == '\0') return campaign_scale::normal;
+    // "default" is the historical spelling of normal (and its cache suffix).
+    constexpr campaign_scale scales[] = {campaign_scale::tiny, campaign_scale::normal,
+                                         campaign_scale::normal, campaign_scale::paper};
+    return scales[core::parse_checked_choice("REPRO_SCALE", env,
+                                             {"tiny", "normal", "default", "paper"})];
 }
 
 campaign_config campaign1_config(campaign_scale scale) {

@@ -140,8 +140,11 @@ struct campaign_outcome {
                                                       const campaign_run_options& opts,
                                                       progress_fn progress = nullptr);
 
-/// Pre-canned sizes, selectable with REPRO_SCALE=tiny|default|paper.
+/// Pre-canned sizes, selectable with REPRO_SCALE=tiny|normal|paper
+/// ("default" is accepted as an alias of normal).
 enum class campaign_scale { tiny, normal, paper };
+/// $REPRO_SCALE, `normal` when unset or empty. Throws core::parse_error
+/// naming the variable on any other value.
 [[nodiscard]] campaign_scale scale_from_env();
 [[nodiscard]] campaign_config campaign1_config(campaign_scale scale);
 /// Campaign 2 (§4.1 second set, March 2006): fresh paths, longer transfers

@@ -85,3 +85,24 @@ TEST(parse_checked_double, rejects_nonfinite_partial_and_out_of_range) {
     EXPECT_THROW((void)parse_checked_double("--t", "-0.1", 0.0, 1e9), parse_error);
     EXPECT_THROW((void)parse_checked_double("--t", "1e10", 0.0, 1e9), parse_error);
 }
+
+TEST(parse_checked_choice, accepts_exact_names_and_returns_their_index) {
+    EXPECT_EQ(parse_checked_choice("--m", "packet", {"packet", "fluid"}), 0u);
+    EXPECT_EQ(parse_checked_choice("--m", "fluid", {"packet", "fluid"}), 1u);
+}
+
+TEST(parse_checked_choice, rejects_anything_else_naming_knob_text_and_choices) {
+    for (const char* bad : {"", "Fluid", "fluid ", " fluid", "flu", "fluidx"}) {
+        EXPECT_THROW((void)parse_checked_choice("--m", bad, {"packet", "fluid"}), parse_error)
+            << bad;
+    }
+    try {
+        (void)parse_checked_choice("REPRO_CROSS_MODEL", "garbage", {"packet", "fluid"});
+        FAIL() << "must throw";
+    } catch (const parse_error& e) {
+        EXPECT_EQ(e.knob(), "REPRO_CROSS_MODEL");
+        EXPECT_EQ(e.text(), "garbage");
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("packet, fluid"), std::string::npos) << msg;
+    }
+}

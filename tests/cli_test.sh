@@ -4,11 +4,15 @@
 #
 # Verifies the exit-code convention (0 ok / 1 bad args / 2 runtime failure /
 # 130 interrupted), that diagnostics land on stderr, and the fault +
-# interrupt + --resume byte-identity guarantee end to end.
+# interrupt + --resume byte-identity guarantee end to end. Also drives a
+# figure bench and tools/bench_report.sh from the same build tree.
 set -u
 
 CAMPAIGN=${1:?usage: cli_test.sh CAMPAIGN_BIN ANALYZE_BIN}
 ANALYZE=${2:?usage: cli_test.sh CAMPAIGN_BIN ANALYZE_BIN}
+# The build tree the tools came from (<build>/tools/tcppred_campaign).
+BUILD_DIR=$(cd "$(dirname "$CAMPAIGN")/.." && pwd)
+SRC_DIR=$(cd "$(dirname "$0")/.." && pwd)
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 FAILURES=0
@@ -57,6 +61,17 @@ grep -q "REPRO_JOBS" "$WORK/err" || { echo "FAIL: bad REPRO_JOBS error does not 
 # ...while 0 still means auto (the documented --jobs 0 alias).
 REPRO_JOBS=0 "$CAMPAIGN" $TINY --out "$WORK/envjobs.csv" >/dev/null 2>&1
 check_exit "campaign REPRO_JOBS=0 is auto" 0 $?
+REPRO_CROSS_MODEL=garbage "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>"$WORK/err"
+check_exit "campaign REPRO_CROSS_MODEL=garbage" 2 $?
+grep -q 'REPRO_CROSS_MODEL: "garbage"' "$WORK/err" || { echo "FAIL: bad REPRO_CROSS_MODEL error does not name the variable and value"; FAILURES=$((FAILURES+1)); }
+"$CAMPAIGN" $TINY --out "$WORK/x.csv" --cross-model garbage >/dev/null 2>"$WORK/err"
+check_exit "campaign --cross-model garbage" 2 $?
+grep -q -- '--cross-model: "garbage"' "$WORK/err" || { echo "FAIL: bad --cross-model error does not name the flag and value"; FAILURES=$((FAILURES+1)); }
+# REPRO_SCALE sizes the benches' campaign cache; they vet it before any work.
+REPRO_SCALE=garbage REPRO_DATA_DIR="$WORK/data" "$BUILD_DIR/bench/fig02_fb_error_cdf" >/dev/null 2>"$WORK/err"
+check_exit "bench REPRO_SCALE=garbage" 2 $?
+grep -q 'REPRO_SCALE: "garbage"' "$WORK/err" || { echo "FAIL: bad REPRO_SCALE error does not name the variable and value"; FAILURES=$((FAILURES+1)); }
+[ -e "$WORK/data" ] && { echo "FAIL: bench with bad REPRO_SCALE started a campaign"; FAILURES=$((FAILURES+1)); }
 "$ANALYZE" >/dev/null 2>&1; check_exit "analyze without dataset" 1 $?
 "$ANALYZE" --help >/dev/null 2>&1; check_exit "analyze --help" 0 $?
 
@@ -243,6 +258,13 @@ check_exit "--from-store missing store" 2 $?
 "$CAMPAIGN" $TINY --out "$WORK/mm.csv" --shard 0/2 --seed 99 --resume >/dev/null 2>"$WORK/mm.err"
 check_exit "shard resume under changed seed" 2 $?
 grep -q "seed: checkpoint=20040501 requested=99" "$WORK/mm.err" || { echo "FAIL: mismatch error does not name the seed field"; FAILURES=$((FAILURES+1)); }
+
+# bench_report.sh creates a missing --out-dir (CI passes a fresh path).
+"$SRC_DIR/tools/bench_report.sh" --build-dir "$BUILD_DIR" --out-dir "$WORK/fresh/perf" >/dev/null 2>"$WORK/bench_report.err"
+check_exit "bench_report.sh into a nonexistent --out-dir" 0 $?
+for f in BENCH_scheduler.json BENCH_campaign.json BENCH_record_store.json BENCH_serve.json; do
+    [ -s "$WORK/fresh/perf/$f" ] || { echo "FAIL: bench_report.sh did not write $f"; FAILURES=$((FAILURES+1)); }
+done
 
 if [ "$FAILURES" -ne 0 ]; then
     echo "$FAILURES CLI contract check(s) failed"

@@ -166,5 +166,21 @@ TEST(cross_traffic, pareto_mean_rate_approximates_target) {
     EXPECT_LT(rate, 4.0e6);
 }
 
+TEST(cross_traffic, zero_rate_pareto_source_falls_silent) {
+    // A path without a bursty share gives its on/off sources a zero mean
+    // rate: the first burst emits one packet, then the source stops for good
+    // and leaves nothing scheduled (in particular nothing at t = +inf).
+    world w(100e6, 0.010, 512);
+    net::pareto_onoff_source src(w.sched, *w.path, 0, 5, 11, net::pareto_onoff_config{});
+    src.set_mean_rate(0.0);
+    int packets = 0;
+    w.path->on_cross_exit(5, [&](net::packet) { ++packets; });
+    src.start();
+    w.sched.run_all();
+    EXPECT_EQ(packets, 1);
+    EXPECT_EQ(w.sched.pending(), 0u);
+    src.stop();
+}
+
 }  // namespace
 }  // namespace tcppred::probe

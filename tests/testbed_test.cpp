@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
+#include <utility>
 
+#include "core/checked_parse.hpp"
 #include "core/units.hpp"
 #include "testbed/campaign.hpp"
 #include "testbed/epoch_runner.hpp"
@@ -240,6 +243,27 @@ TEST(campaign_cfg, second_set_uses_prefix_plan) {
     EXPECT_EQ(cfg.epoch.prefix_s.size(), 3u);
     EXPECT_FALSE(cfg.epoch.run_small_window);
     EXPECT_EQ(cfg.paths, 24);
+}
+
+TEST(campaign_scale, env_knob_is_checked) {
+    ::unsetenv("REPRO_SCALE");
+    EXPECT_EQ(scale_from_env(), campaign_scale::normal);
+    const std::pair<const char*, campaign_scale> accepted[] = {
+        {"", campaign_scale::normal},
+        {"tiny", campaign_scale::tiny},
+        {"normal", campaign_scale::normal},
+        {"default", campaign_scale::normal},
+        {"paper", campaign_scale::paper},
+    };
+    for (const auto& [value, scale] : accepted) {
+        ::setenv("REPRO_SCALE", value, 1);
+        EXPECT_EQ(scale_from_env(), scale) << value;
+    }
+    for (const char* bad : {"garbage", "Tiny", "tiny ", "1"}) {
+        ::setenv("REPRO_SCALE", bad, 1);
+        EXPECT_THROW((void)scale_from_env(), core::parse_error) << bad;
+    }
+    ::unsetenv("REPRO_SCALE");
 }
 
 }  // namespace

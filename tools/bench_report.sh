@@ -18,8 +18,9 @@
 # Usage: tools/bench_report.sh [options]
 #   --build-dir DIR   build tree with bench/ and tools/ binaries
 #                     (default: build)
-#   --out-dir DIR     where to write the BENCH_*.json files
-#                     (default: repository root — the committed copies)
+#   --out-dir DIR     where to write the BENCH_*.json files, created if
+#                     missing (default: repository root — the committed
+#                     copies)
 #   --scale S         tiny | normal   campaign geometry (default: tiny;
 #                     committed files are regenerated at normal scale)
 #   --jobs N          worker threads for the campaign runs (default: 1,
@@ -64,6 +65,10 @@ for bin in "$MICRO" "$MICRO_STORE" "$CAMPAIGN" "$SERVE" "$LOADGEN"; do
         exit 1
     fi
 done
+
+# The writers below open files directly under OUT_DIR; a fresh CI runner
+# passes a directory that does not exist yet.
+mkdir -p "$OUT_DIR"
 
 TMP_DIR="$(mktemp -d /tmp/bench_report.XXXXXX)"
 SERVE_PID=""

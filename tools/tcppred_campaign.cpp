@@ -107,8 +107,13 @@ int main(int argc, char** argv) {
     std::string out;
     int jobs = 0;  // applied after parsing so --second-set cannot reset it
     // Applied after parsing for the same reason: --second-set replaces cfg.
-    std::string cross_model_name;
-    if (const char* env = std::getenv("REPRO_CROSS_MODEL")) cross_model_name = env;  // NOLINT(concurrency-mt-unsafe)
+    // The knob that supplied the name is kept for the diagnostic; an empty
+    // $REPRO_CROSS_MODEL means unset, as for $REPRO_JOBS.
+    std::optional<std::string> cross_model_name;
+    std::string cross_model_knob = "REPRO_CROSS_MODEL";
+    if (const char* env = std::getenv("REPRO_CROSS_MODEL"); env != nullptr && *env != '\0') {  // NOLINT(concurrency-mt-unsafe)
+        cross_model_name = env;
+    }
     bool checkpointing = false;
     bool metrics_summary = false;
     std::string trace_file;
@@ -168,6 +173,7 @@ int main(int argc, char** argv) {
             cfg = campaign2_config(campaign_scale::normal);
         } else if (arg == "--cross-model") {
             cross_model_name = next();
+            cross_model_knob = arg;
         } else if (arg == "--jobs") {
             jobs = static_cast<int>(checked_int(0, 4096));  // 0 = auto
         } else if (arg == "--faults") {
@@ -219,6 +225,12 @@ int main(int argc, char** argv) {
             return 1;
         }
     }
+    if (cross_model_name) {
+        constexpr tcppred::net::cross_model models[] = {tcppred::net::cross_model::packet,
+                                                        tcppred::net::cross_model::fluid};
+        cfg.epoch.cross = models[tcppred::core::parse_checked_choice(
+            cross_model_knob, *cross_model_name, {"packet", "fluid"})];
+    }
     } catch (const tcppred::core::parse_error& e) {
         std::fprintf(stderr, "%s\n", e.what());
         usage(argv[0]);
@@ -231,17 +243,6 @@ int main(int argc, char** argv) {
     }
     cfg.jobs = jobs;
     cfg.faults = faults;
-    if (!cross_model_name.empty()) {
-        if (cross_model_name == "packet") {
-            cfg.epoch.cross = tcppred::net::cross_model::packet;
-        } else if (cross_model_name == "fluid") {
-            cfg.epoch.cross = tcppred::net::cross_model::fluid;
-        } else {
-            std::fprintf(stderr, "bad --cross-model: %s (want packet or fluid)\n",
-                         cross_model_name.c_str());
-            return 1;
-        }
-    }
     if ((workers > 0) + (merge_n > 0) + (shard ? 1 : 0) > 1) {
         std::fprintf(stderr, "--workers, --shard and --merge are mutually exclusive\n");
         return 1;
