@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,11 +60,11 @@ inline void banner(const std::string& title, const std::string& paper_claim) {
     // honor $REPRO_TRACE / $REPRO_METRICS regardless of which engine entry
     // point the bench uses — and to vet the campaign-cache knobs before any
     // work: garbage exits 2 naming the variable, like the tools.
-    obs::init_from_env();
     try {
+        obs::init_from_env();  // rejects a garbage $REPRO_METRICS
         (void)testbed::scale_from_env();
         (void)sim::jobs_from_env();
-    } catch (const core::parse_error& e) {
+    } catch (const std::invalid_argument& e) {  // core::parse_error included
         std::fprintf(stderr, "%s\n", e.what());
         std::exit(2);
     }

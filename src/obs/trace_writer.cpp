@@ -202,7 +202,12 @@ void init_from_env() {
     static std::atomic<bool> done{false};
     if (done.exchange(true)) return;
     if (const char* env = std::getenv("REPRO_METRICS")) {  // NOLINT(concurrency-mt-unsafe)
-        if (*env != '\0' && std::string_view(env) != "0") {
+        const std::string_view v(env);
+        if (!v.empty() && v != "0" && v != "1") {
+            throw std::invalid_argument("bad value for REPRO_METRICS: \"" + std::string(v) +
+                                        "\" (want empty, 0 or 1)");
+        }
+        if (v == "1") {
             set_metrics_enabled(true);
             std::atexit([] {
                 std::ostringstream os;

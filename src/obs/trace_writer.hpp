@@ -92,8 +92,10 @@ inline void trace_emit(std::string line) {
 }
 
 /// Honor the observability environment: $REPRO_TRACE=file opens the trace,
-/// $REPRO_METRICS (any non-empty value but "0") enables timing collection
-/// and prints the metrics summary to stderr at process exit. Call once from
+/// $REPRO_METRICS=1 enables timing collection and prints the metrics
+/// summary to stderr at process exit (empty or "0" = off). Any other
+/// $REPRO_METRICS value throws std::invalid_argument naming the variable,
+/// before the trace is opened; tools map it to exit 2. Call once from
 /// main() or a shared entry point (bench_util does); extra calls are no-ops.
 void init_from_env();
 

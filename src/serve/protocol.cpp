@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "core/checked_parse.hpp"
-#include "testbed/checkpoint.hpp"
+#include "core/hexfloat.hpp"
 
 namespace tcppred::serve {
 
@@ -138,7 +138,7 @@ std::string format_observe(std::string_view path, const observation& obs) {
     for (const double v : {obs.avail_bw_bps, obs.phat, obs.phat_events, obs.that_s,
                            obs.r_large_bps}) {
         out += ' ';
-        out += testbed::hexd(v);
+        out += core::hexd(v);
     }
     out += ' ';
     out += std::to_string(obs.fault_flags);

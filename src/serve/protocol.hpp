@@ -5,7 +5,7 @@
 //   OBSERVE <path> <epoch> <availbw> <phat> <phat_events> <that_s> <r_large> <flags>
 //       Append one epoch's measurement to <path>'s series. Doubles are any
 //       strtod-parseable form; the bit-exact interchange format is hexfloat
-//       (testbed::hexd), and "nan" marks a faulted field. <flags> is the
+//       (core::hexd), and "nan" marks a faulted field. <flags> is the
 //       epoch_fault_flag bitmask (decimal).
 //   PREDICT <path> <spec>
 //       Return the cached forecast <spec> made at <path>'s latest epoch.

@@ -13,11 +13,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/hexfloat.hpp"
 #include "obs/counters.hpp"
 #include "serve/protocol.hpp"
 #include "serve/snapshot.hpp"
 #include "sim/thread_pool.hpp"
-#include "testbed/checkpoint.hpp"
 #include "testbed/dataset.hpp"
 
 namespace tcppred::serve {
@@ -145,7 +145,7 @@ std::string server::handle_line(std::string_view line) {
                     case predict_reply::status::ok: break;
                 }
                 std::string out = "OK ";
-                out += testbed::hexd(reply.value.value_bps);
+                out += core::hexd(reply.value.value_bps);
                 out += ' ';
                 out += status_name(reply.value.status);
                 out += ' ';

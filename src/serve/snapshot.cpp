@@ -5,9 +5,10 @@
 #include <vector>
 
 #include "core/checked_parse.hpp"
+#include "core/hexfloat.hpp"
 #include "obs/counters.hpp"
-#include "testbed/checkpoint.hpp"
 #include "testbed/dataset.hpp"
+#include "testbed/record_codec.hpp"
 
 namespace tcppred::serve {
 
@@ -59,10 +60,10 @@ std::string render_snapshot(const path_table& table) {
         ++paths;
         body << "path," << name << ',' << st.log.size() << '\n';
         for (const observation& ev : st.log) {
-            body << "ev," << ev.epoch << ',' << testbed::hexd(ev.avail_bw_bps) << ','
-                 << testbed::hexd(ev.phat) << ',' << testbed::hexd(ev.phat_events)
-                 << ',' << testbed::hexd(ev.that_s) << ','
-                 << testbed::hexd(ev.r_large_bps) << ',' << ev.fault_flags << '\n';
+            body << "ev," << ev.epoch << ',' << core::hexd(ev.avail_bw_bps) << ','
+                 << core::hexd(ev.phat) << ',' << core::hexd(ev.phat_events)
+                 << ',' << core::hexd(ev.that_s) << ','
+                 << core::hexd(ev.r_large_bps) << ',' << ev.fault_flags << '\n';
             ++total;
         }
     });
@@ -136,14 +137,14 @@ snapshot_stats load_snapshot(path_table& table, const std::filesystem::path& fil
                 ev.epoch = core::parse_checked_int("epoch", f[1], 0, std::int64_t{1} << 40);
                 ev.fault_flags = static_cast<std::uint32_t>(
                     core::parse_checked_u64("flags", f[7], 0, 0xffffffffULL));
+                ev.avail_bw_bps = core::parse_hexd("availbw", f[2]);
+                ev.phat = core::parse_hexd("phat", f[3]);
+                ev.phat_events = core::parse_hexd("phat_events", f[4]);
+                ev.that_s = core::parse_hexd("that_s", f[5]);
+                ev.r_large_bps = core::parse_hexd("r_large", f[6]);
             } catch (const core::parse_error& e) {
                 bad(file, line_no, e.what());
             }
-            ev.avail_bw_bps = testbed::parse_hexd(f[2], file, line_no);
-            ev.phat = testbed::parse_hexd(f[3], file, line_no);
-            ev.phat_events = testbed::parse_hexd(f[4], file, line_no);
-            ev.that_s = testbed::parse_hexd(f[5], file, line_no);
-            ev.r_large_bps = testbed::parse_hexd(f[6], file, line_no);
             // Replay through the live apply path: predict-then-observe, so
             // restored state is bitwise what the writer held.
             table.observe(current_path, ev);

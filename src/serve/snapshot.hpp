@@ -1,6 +1,6 @@
 // Serve daemon snapshots: the path table persisted as an event-sourced
 // replay log, reusing the repo's bit-exact persistence primitives
-// (testbed::hexd + atomic_write_text, DESIGN.md §17).
+// (core::hexd + testbed::atomic_write_text, DESIGN.md §17).
 //
 // Format (line-oriented, doubles in hexfloat):
 //

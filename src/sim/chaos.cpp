@@ -84,8 +84,13 @@ chaos_profile chaos_profile::parse(std::string_view spec) {
 }
 
 chaos_profile chaos_profile::from_env() {
-    if (const char* spec = std::getenv("REPRO_CHAOS")) return parse(spec);  // NOLINT(concurrency-mt-unsafe)
-    return {};
+    const char* spec = std::getenv("REPRO_CHAOS");  // NOLINT(concurrency-mt-unsafe)
+    if (spec == nullptr) return {};
+    try {
+        return parse(spec);
+    } catch (const std::invalid_argument& e) {
+        throw core::parse_error("REPRO_CHAOS", spec, e.what());
+    }
 }
 
 chaos_action plan_chaos(const chaos_profile& profile, std::uint64_t campaign_seed,

@@ -50,7 +50,8 @@ struct chaos_profile {
     /// Unknown keys or rates outside [0,1] throw std::invalid_argument.
     [[nodiscard]] static chaos_profile parse(std::string_view spec);
 
-    /// Profile from $REPRO_CHAOS (unset or empty -> disabled).
+    /// Profile from $REPRO_CHAOS (unset or empty -> disabled). A malformed
+    /// spec throws core::parse_error naming the variable.
     [[nodiscard]] static chaos_profile from_env();
 };
 

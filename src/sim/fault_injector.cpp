@@ -1,9 +1,11 @@
 #include "sim/fault_injector.hpp"
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/checked_parse.hpp"
 #include "obs/counters.hpp"
 #include "sim/rng.hpp"
 
@@ -97,19 +99,27 @@ fault_profile fault_profile::parse(std::string_view spec) {
 }
 
 fault_profile fault_profile::from_env() {
-    fault_profile p;
-    if (const char* spec = std::getenv("REPRO_FAULTS")) p = parse(spec);  // NOLINT(concurrency-mt-unsafe)
-    for (const knob& k : k_knobs) {
-        if (const char* v = std::getenv(k.env)) p.*k.field = parse_rate(k.key, v);  // NOLINT(concurrency-mt-unsafe)
-    }
-    if (const char* v = std::getenv("REPRO_FAULT_SEED")) {  // NOLINT(concurrency-mt-unsafe)
+    // Every rejection names the variable it came from (core::parse_error),
+    // so the tools report garbage like any other bad knob: exit 2.
+    const auto with_env = [](const char* name, const auto& apply) {
+        const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
+        if (v == nullptr) return;
         try {
-            p.seed = std::stoull(v);
-        } catch (const std::exception&) {
-            throw std::invalid_argument(std::string("fault_profile: bad REPRO_FAULT_SEED '") +
-                                        v + "'");
+            apply(std::string_view(v));
+        } catch (const core::parse_error&) {
+            throw;
+        } catch (const std::invalid_argument& e) {
+            throw core::parse_error(name, v, e.what());
         }
+    };
+    fault_profile p;
+    with_env("REPRO_FAULTS", [&](std::string_view v) { p = parse(v); });
+    for (const knob& k : k_knobs) {
+        with_env(k.env, [&](std::string_view v) { p.*k.field = parse_rate(k.key, v); });
     }
+    with_env("REPRO_FAULT_SEED", [&](std::string_view v) {
+        p.seed = core::parse_checked_u64("REPRO_FAULT_SEED", v, 0, UINT64_MAX);
+    });
     return p;
 }
 

@@ -49,7 +49,8 @@ struct fault_profile {
     /// Profile from the environment: $REPRO_FAULTS (a spec as above),
     /// overridden field-wise by $REPRO_FAULT_PATHLOAD, $REPRO_FAULT_PING_TIMEOUT,
     /// $REPRO_FAULT_PING_TRUNCATE, $REPRO_FAULT_ABORT, $REPRO_FAULT_OUTAGE and
-    /// $REPRO_FAULT_SEED. Unset everything -> disabled profile.
+    /// $REPRO_FAULT_SEED. Unset everything -> disabled profile. A malformed
+    /// value throws core::parse_error naming its variable.
     [[nodiscard]] static fault_profile from_env();
 };
 

@@ -179,17 +179,12 @@ campaign_outcome run_campaign_resumable(const campaign_config& cfg,
     // under ck_mutex, so checkpoint flushes read a consistent view.
     std::vector<char> done(static_cast<std::size_t>(total), 0);
     if (opts.resume && checkpointing) {
+        // load_checkpoint has checked ck->total against this config's grid;
+        // its records are default-constructed wherever done is 0.
         if (auto ck = load_checkpoint(opts.checkpoint, fingerprint)) {
-            if (ck->total != static_cast<std::size_t>(total)) {
-                throw dataset_error(opts.checkpoint, 0, 0,
-                                    "checkpoint epoch count disagrees with config");
-            }
-            for (std::size_t i = 0; i < ck->total; ++i) {
-                if (!ck->done[i]) continue;
-                data.records[i] = std::move(ck->records[i]);
-                done[i] = 1;
-                ++out.epochs_resumed;
-            }
+            data.records = std::move(ck->records);
+            done = std::move(ck->done);
+            out.epochs_resumed = static_cast<int>(std::count(done.begin(), done.end(), 1));
             c_resumed.add(static_cast<std::uint64_t>(out.epochs_resumed));
         }
     }
@@ -203,20 +198,11 @@ campaign_outcome run_campaign_resumable(const campaign_config& cfg,
     int since_flush = 0;
 
     const auto flush_checkpoint = [&] {  // caller holds ck_mutex
-        campaign_checkpoint ck;
-        ck.fingerprint = fingerprint;
-        ck.total = static_cast<std::size_t>(total);
-        ck.done = done;
-        // Copy completed slots only: a worker writes its record slot before
+        // Reads completed slots only: a worker writes its record slot before
         // taking ck_mutex to set done[idx], so every done slot is fully
         // written and quiescent here — while a slot still in flight may be
-        // mid-write on another thread and must not even be read (save would
-        // skip it anyway).
-        ck.records.resize(ck.total);
-        for (std::size_t i = 0; i < ck.total; ++i) {
-            if (done[i]) ck.records[i] = data.records[i];
-        }
-        save_checkpoint(ck, opts.checkpoint);
+        // mid-write on another thread and must not even be read.
+        save_checkpoint(opts.checkpoint, fingerprint, done, data.records);
         c_flushes.add();
     };
 

@@ -1,25 +1,24 @@
 // Campaign checkpoints: a completed-epoch bitmap plus the completed records,
 // persisted mid-run so an interrupted campaign resumes instead of restarting.
-//
-// Invariants the format defends:
-//  - doubles round-trip bit-exactly (hexfloat serialization), so a resumed
-//    campaign's CSV is byte-identical to an uninterrupted run's;
-//  - a checkpoint is only ever observed whole (write-to-temp + atomic
-//    rename), so a kill -9 mid-flush leaves the previous checkpoint intact;
-//  - a checkpoint carries the fingerprint of the config that produced it,
-//    and resuming under any other config (different seed, size, fault
-//    profile — anything but the job count) is refused.
+// A checkpoint is a record store (record_codec.hpp) whose header carries the
+// done bitmap; its records are the set slots in ascending linear order. So
+// doubles round-trip bit-exactly (a resumed CSV is byte-identical to an
+// uninterrupted run's), a checkpoint is only ever observed whole (a kill -9
+// mid-flush leaves the previous one intact), and the strict store reader
+// refuses truncated or tampered files before sizing anything by them. A
+// checkpoint carries its config's fingerprint; resuming under any other
+// config (seed, size, fault profile — anything but the job count) is refused.
 #pragma once
 
 #include <cstddef>
 #include <filesystem>
-#include <fstream>
+#include <istream>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "testbed/campaign.hpp"
+#include "testbed/record_codec.hpp"
 
 namespace tcppred::testbed {
 
@@ -30,19 +29,6 @@ struct campaign_checkpoint {
     std::vector<char> done;            ///< size == total; nonzero = completed
     std::vector<epoch_record> records; ///< size == total; only done slots valid
 };
-
-/// Bit-exact double -> text ("%a" hexfloat): the serialization primitive
-/// shared by every bit-exact format (checkpoints, the record store).
-/// Decimal at any precision does not guarantee the round trip; hexfloat
-/// does, and strtod parses it back everywhere (istream extraction of
-/// hexfloat is not required to work, and does not in libstdc++).
-[[nodiscard]] std::string hexd(double v);
-
-/// Parse a hexd()-formatted field back to the identical double. Throws
-/// dataset_error (with `file`/`line_no` context) unless the entire field
-/// parses as one float.
-[[nodiscard]] double parse_hexd(const std::string& s, const std::filesystem::path& file,
-                                std::size_t line_no);
 
 /// One named field of a campaign fingerprint, e.g. {"seed", "20040501"}.
 struct fingerprint_field {
@@ -71,50 +57,35 @@ struct fingerprint_field {
 [[nodiscard]] std::string describe_fingerprint_mismatch(const std::string& in_checkpoint,
                                                         const std::string& requested);
 
-/// Write `contents` to `file` so that readers only ever observe the old
-/// bytes or the new bytes, never a torn file. The temp file lands in
-/// $TMPDIR when set (else next to `file`) and is published with rename(2);
-/// when the temp and target sit on different filesystems (rename fails
-/// EXDEV) it falls back to copy + fsync + same-directory rename. The test
-/// hook $TCPPRED_FORCE_EXDEV=1 forces the fallback path.
-void atomic_write_text(const std::filesystem::path& file, const std::string& contents);
-
-/// Write atomically via atomic_write_text.
+/// Write atomically as a checkpoint store (record_writer with ck.done).
 void save_checkpoint(const campaign_checkpoint& ck, const std::filesystem::path& file);
 
+/// The same write over caller-owned slots, without copying them into a
+/// campaign_checkpoint: only records whose `done` slot is set are read.
+void save_checkpoint(const std::filesystem::path& file, const std::string& fingerprint,
+                     const std::vector<char>& done,
+                     const std::vector<epoch_record>& records);
+
 /// Load and validate a checkpoint. Returns nullopt when `file` does not
-/// exist; throws dataset_error when it exists but is malformed or its
+/// exist; throws dataset_error when it exists but is malformed (including a
+/// leftover file of the retired hexfloat-row checkpoint format) or its
 /// fingerprint does not match `expected_fingerprint`.
 [[nodiscard]] std::optional<campaign_checkpoint> load_checkpoint(
     const std::filesystem::path& file, const std::string& expected_fingerprint);
 
-/// Streaming cursor over a checkpoint file: the header (magic, fingerprint,
-/// total) is validated up front, then records surface one `rec` line at a
-/// time, in file order, with O(1) memory. Files written by save_checkpoint
-/// carry their records in ascending linear-index order, which is what lets
-/// the shard merge (record_store.hpp) walk N shard cursors in lockstep
-/// instead of loading every shard whole. load_checkpoint is this reader run
-/// to exhaustion. Pass an empty `expected_fingerprint` to accept any.
-class checkpoint_reader {
-public:
-    /// Opens and validates the header; throws dataset_error when the file
-    /// cannot be read, is malformed, or carries a different fingerprint.
-    checkpoint_reader(const std::filesystem::path& file,
+/// The same parse over an already-open seekable stream (the fuzz harness);
+/// `context` only labels dataset_error messages. An empty
+/// `expected_fingerprint` accepts any campaign.
+[[nodiscard]] campaign_checkpoint load_checkpoint(std::istream& in,
+                                                  const std::filesystem::path& context,
+                                                  const std::string& expected_fingerprint);
+
+/// Validate that an opened store is a checkpoint: it carries a done bitmap,
+/// its fingerprint matches `expected_fingerprint` (skipped when empty), and
+/// the bitmap spans exactly the epoch grid the fingerprint declares. Shared
+/// by load_checkpoint and the shard merge (shard.hpp); throws dataset_error
+/// naming `file`.
+void check_checkpoint(const record_reader& reader, const std::filesystem::path& file,
                       const std::string& expected_fingerprint);
-
-    [[nodiscard]] const std::string& fingerprint() const noexcept { return fingerprint_; }
-    [[nodiscard]] std::size_t total() const noexcept { return total_; }
-
-    /// The next record and its linear campaign index; nullopt at end of
-    /// file. Throws dataset_error on a malformed or out-of-range line.
-    [[nodiscard]] std::optional<std::pair<std::size_t, epoch_record>> next();
-
-private:
-    std::ifstream in_;
-    std::filesystem::path file_;
-    std::string fingerprint_;
-    std::size_t total_{0};
-    std::size_t line_no_{0};
-};
 
 }  // namespace tcppred::testbed

@@ -34,6 +34,10 @@ private:
     std::size_t column_;
 };
 
+/// Split `line` on `sep`, dropping a trailing empty field: the tokenizer of
+/// the CSV, the record codec and the fingerprint diff.
+[[nodiscard]] std::vector<std::string> split_fields(const std::string& line, char sep);
+
 /// One epoch's results, keyed by (path, trace, epoch).
 struct epoch_record {
     int path_id{0};

@@ -1,6 +1,8 @@
 #include "testbed/shard.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <deque>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -8,7 +10,6 @@
 
 #include "core/contracts.hpp"
 #include "testbed/checkpoint.hpp"
-#include "testbed/path_catalog.hpp"
 
 namespace tcppred::testbed {
 
@@ -93,55 +94,62 @@ std::optional<shard_heartbeat> read_heartbeat(const std::filesystem::path& file)
     return hb;
 }
 
-dataset merge_shard_checkpoints(const campaign_config& cfg,
-                                const std::vector<std::filesystem::path>& shard_ckpts) {
+void merge_shard_records(const campaign_config& cfg,
+                         const std::vector<std::filesystem::path>& shard_ckpts,
+                         const std::function<void(epoch_record&&)>& sink) {
     TCPPRED_EXPECTS(!shard_ckpts.empty());
     const std::string fingerprint = campaign_fingerprint(cfg);
-    const std::size_t total = static_cast<std::size_t>(cfg.paths) *
-                              static_cast<std::size_t>(cfg.traces_per_path) *
-                              static_cast<std::size_t>(cfg.epochs_per_trace);
-
-    dataset data;
-    data.paths = cfg.second_set ? second_campaign_catalog(cfg.paths, cfg.seed)
-                                : ron_like_catalog(cfg.paths, cfg.seed);
-    data.records.resize(total);
-    std::vector<char> done(total, 0);
-
+    const std::size_t total = campaign_total_epochs(cfg);
+    // A deque: readers own their stream and are never moved once opened.
+    std::deque<record_reader> readers;
     for (const auto& file : shard_ckpts) {
-        // load_checkpoint already rejects fingerprint mismatches with a
-        // field-level diff and returns nullopt only for absent files — an
-        // absent shard means the campaign is not finished, so refuse.
-        auto ck = load_checkpoint(file, fingerprint);
-        if (!ck) {
+        // An absent shard means the campaign is not finished, so refuse.
+        if (!std::filesystem::exists(file)) {
             throw dataset_error(file, 0, 0,
                                 "shard checkpoint missing — run its shard to "
                                 "completion before merging");
         }
-        if (ck->total != total) {
-            throw dataset_error(file, 0, 0,
-                                "shard checkpoint epoch count disagrees with config");
-        }
-        for (std::size_t i = 0; i < total; ++i) {
-            if (!ck->done[i] || done[i]) continue;  // overlap: first writer wins
-            data.records[i] = std::move(ck->records[i]);
-            done[i] = 1;
-        }
+        check_checkpoint(readers.emplace_back(file), file, fingerprint);
     }
 
-    std::size_t missing = 0;
-    std::size_t first_missing = 0;
-    for (std::size_t i = 0; i < total; ++i) {
-        if (done[i]) continue;
-        if (missing == 0) first_missing = i;
-        ++missing;
+    std::size_t covered = 0;
+    std::size_t first_missing = total;
+    for (std::size_t i = total; i-- > 0;) {
+        const bool any = std::any_of(readers.begin(), readers.end(),
+                                     [i](const record_reader& r) { return r.done(i); });
+        covered += any ? 1 : 0;
+        if (!any) first_missing = i;
     }
-    if (missing > 0) {
+    if (covered != total) {
         std::ostringstream msg;
-        msg << "shards cover only " << (total - missing) << " of " << total
+        msg << "shards cover only " << covered << " of " << total
             << " epochs (first missing linear index " << first_missing
             << ") — every shard must be complete before merging";
         throw dataset_error(shard_ckpts.front(), 0, 0, msg.str());
     }
+
+    // Each shard's records are its set slots in ascending order, so at
+    // linear index i every shard marking i holds it as its next record.
+    epoch_record rec;
+    for (std::size_t i = 0; i < total; ++i) {
+        bool taken = false;
+        for (record_reader& r : readers) {
+            if (!r.done(i)) continue;
+            const bool got = r.next(rec);  // the reader checked popcount == records
+            TCPPRED_ASSERT(got);
+            if (!taken) sink(std::move(rec));
+            taken = true;
+        }
+    }
+}
+
+dataset merge_shard_checkpoints(const campaign_config& cfg,
+                                const std::vector<std::filesystem::path>& shard_ckpts) {
+    dataset data;
+    data.paths = campaign_catalog(cfg);
+    data.records.reserve(campaign_total_epochs(cfg));
+    merge_shard_records(cfg, shard_ckpts,
+                        [&](epoch_record&& r) { data.records.push_back(std::move(r)); });
     return data;
 }
 

@@ -5,10 +5,11 @@
 // run_campaign_resumable's epoch_filter, persists it into its own
 // per-shard checkpoint (keyed by the same v2 config fingerprint as serial
 // checkpoints), and advertises liveness through a tiny heartbeat file. The
-// merge step unions the shard checkpoints back into one dataset whose CSV
-// is byte-identical to a serial run's — epochs are independently seeded,
-// records are slot-indexed, and checkpoint doubles round-trip through
-// hexfloat, so *which process* ran an epoch can never show in the output.
+// merge step unions the shard checkpoints back into one dataset (or store)
+// whose CSV is byte-identical to a serial run's — epochs are independently
+// seeded, records are slot-indexed, and checkpoint doubles round-trip
+// through hexfloat, so *which process* ran an epoch can never show in the
+// output.
 #pragma once
 
 #include <cstdint>
@@ -73,12 +74,18 @@ void write_heartbeat(const std::filesystem::path& file, const shard_heartbeat& h
 [[nodiscard]] std::optional<shard_heartbeat> read_heartbeat(
     const std::filesystem::path& file);
 
-/// Merge shard checkpoints into the full campaign dataset. Every file must
-/// exist, carry cfg's fingerprint and epoch count, and together the shards
-/// must cover the whole grid (overlap is tolerated — slot contents are
-/// deterministic, so duplicates are byte-identical; first writer wins).
-/// Throws dataset_error naming the offending file or the missing epochs.
-/// Shards may be passed in any order; the result is order-invariant.
+/// The one shard-merge walk: every file must be a checkpoint of cfg and the
+/// shards must cover the grid (both checked before `sink` sees anything);
+/// then one store cursor per shard advances in lockstep over the linear
+/// epoch order and `sink` gets each epoch's record once, in order. Overlap
+/// is tolerated (duplicates are byte-identical; first shard wins), so the
+/// result is order-invariant. Memory is O(shards · chunk). Throws
+/// dataset_error naming the offending file or the missing epochs.
+void merge_shard_records(const campaign_config& cfg,
+                         const std::vector<std::filesystem::path>& shard_ckpts,
+                         const std::function<void(epoch_record&&)>& sink);
+
+/// merge_shard_records into the full campaign dataset.
 [[nodiscard]] dataset merge_shard_checkpoints(
     const campaign_config& cfg, const std::vector<std::filesystem::path>& shard_ckpts);
 

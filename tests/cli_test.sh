@@ -72,6 +72,36 @@ REPRO_SCALE=garbage REPRO_DATA_DIR="$WORK/data" "$BUILD_DIR/bench/fig02_fb_error
 check_exit "bench REPRO_SCALE=garbage" 2 $?
 grep -q 'REPRO_SCALE: "garbage"' "$WORK/err" || { echo "FAIL: bad REPRO_SCALE error does not name the variable and value"; FAILURES=$((FAILURES+1)); }
 [ -e "$WORK/data" ] && { echo "FAIL: bench with bad REPRO_SCALE started a campaign"; FAILURES=$((FAILURES+1)); }
+# REPRO_METRICS takes only empty, 0 or 1: garbage exits 2 naming it in every
+# tool that honors it, and in the benches before any work.
+REPRO_METRICS=yes "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>"$WORK/err"
+check_exit "campaign REPRO_METRICS=yes" 2 $?
+grep -q 'REPRO_METRICS: "yes"' "$WORK/err" || { echo "FAIL: campaign REPRO_METRICS error does not name the variable and value"; FAILURES=$((FAILURES+1)); }
+[ -e "$WORK/x.csv" ] && { echo "FAIL: campaign with bad REPRO_METRICS wrote a CSV"; FAILURES=$((FAILURES+1)); }
+REPRO_METRICS=2 "$ANALYZE" "$WORK/does-not-exist.csv" >/dev/null 2>"$WORK/err"
+check_exit "analyze REPRO_METRICS=2" 2 $?
+grep -q 'REPRO_METRICS: "2"' "$WORK/err" || { echo "FAIL: analyze REPRO_METRICS error does not name the variable"; FAILURES=$((FAILURES+1)); }
+REPRO_METRICS=on "$BUILD_DIR/tools/tcppred_serve" --socket "$WORK/m.sock" >/dev/null 2>"$WORK/err"
+check_exit "serve REPRO_METRICS=on" 2 $?
+grep -q 'REPRO_METRICS: "on"' "$WORK/err" || { echo "FAIL: serve REPRO_METRICS error does not name the variable"; FAILURES=$((FAILURES+1)); }
+REPRO_METRICS=true REPRO_DATA_DIR="$WORK/data" "$BUILD_DIR/bench/fig02_fb_error_cdf" >/dev/null 2>"$WORK/err"
+check_exit "bench REPRO_METRICS=true" 2 $?
+grep -q 'REPRO_METRICS: "true"' "$WORK/err" || { echo "FAIL: bench REPRO_METRICS error does not name the variable"; FAILURES=$((FAILURES+1)); }
+[ -e "$WORK/data" ] && { echo "FAIL: bench with bad REPRO_METRICS started a campaign"; FAILURES=$((FAILURES+1)); }
+REPRO_METRICS=1 "$CAMPAIGN" $TINY --out "$WORK/m1.csv" >/dev/null 2>"$WORK/err"
+check_exit "campaign REPRO_METRICS=1" 0 $?
+grep -q "== metrics summary ==" "$WORK/err" || { echo "FAIL: REPRO_METRICS=1 printed no metrics summary"; FAILURES=$((FAILURES+1)); }
+REPRO_METRICS=0 "$CAMPAIGN" $TINY --out "$WORK/m0.csv" >/dev/null 2>"$WORK/err"
+check_exit "campaign REPRO_METRICS=0" 0 $?
+grep -q "== metrics summary ==" "$WORK/err" && { echo "FAIL: REPRO_METRICS=0 printed a metrics summary"; FAILURES=$((FAILURES+1)); }
+# Fault and chaos environment knobs follow the same contract (the --faults
+# flag keeps its exit 1 above).
+for knob in REPRO_FAULTS=bogus REPRO_FAULT_ABORT=2 REPRO_FAULT_SEED=7x \
+            REPRO_CHAOS=kill=lots REPRO_CHAOS_ATTEMPT=x; do
+    env "$knob" "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>"$WORK/err"
+    check_exit "campaign $knob" 2 $?
+    grep -q "${knob%%=*}" "$WORK/err" || { echo "FAIL: bad $knob error does not name the variable"; FAILURES=$((FAILURES+1)); }
+done
 "$ANALYZE" >/dev/null 2>&1; check_exit "analyze without dataset" 1 $?
 "$ANALYZE" --help >/dev/null 2>&1; check_exit "analyze --help" 0 $?
 
@@ -258,6 +288,14 @@ check_exit "--from-store missing store" 2 $?
 "$CAMPAIGN" $TINY --out "$WORK/mm.csv" --shard 0/2 --seed 99 --resume >/dev/null 2>"$WORK/mm.err"
 check_exit "shard resume under changed seed" 2 $?
 grep -q "seed: checkpoint=20040501 requested=99" "$WORK/mm.err" || { echo "FAIL: mismatch error does not name the seed field"; FAILURES=$((FAILURES+1)); }
+
+# A leftover checkpoint in the retired row format is refused on --resume,
+# naming the format, and exits 2 like any other resume refusal.
+printf 'tcppred-checkpoint,v1\nfingerprint,v2\ntotal,6\nrec,1,3x\n' > "$WORK/legacy.csv.ckpt"
+"$CAMPAIGN" $TINY --out "$WORK/legacy.csv" --resume >/dev/null 2>"$WORK/legacy.err"
+check_exit "resume from a retired row-format checkpoint" 2 $?
+grep -q "tcppred-checkpoint,v1" "$WORK/legacy.err" || { echo "FAIL: legacy checkpoint refusal does not name the format"; FAILURES=$((FAILURES+1)); }
+[ -e "$WORK/legacy.csv" ] && { echo "FAIL: resume from a legacy checkpoint wrote a CSV"; FAILURES=$((FAILURES+1)); }
 
 # bench_report.sh creates a missing --out-dir (CI passes a fresh path).
 "$SRC_DIR/tools/bench_report.sh" --build-dir "$BUILD_DIR" --out-dir "$WORK/fresh/perf" >/dev/null 2>"$WORK/bench_report.err"

@@ -3,7 +3,9 @@
 // save_csv, the streamed campaign sweep reproducing run_campaign bitwise at
 // any job count, the streaming shard merge, evaluate_stream equivalence
 // with the in-memory engine (including fault-conditioned aggregation), and
-// the reader's refusal of foreign-fingerprint / truncated / tampered input.
+// the reader's refusal of foreign-fingerprint / truncated / tampered input,
+// and checkpoints as stores with a done bitmap (strict framing, refusal of
+// the retired row format).
 #include "testbed/record_store.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -430,6 +433,224 @@ TEST_F(record_store, writer_abort_never_touches_target) {
     }
     EXPECT_FALSE(std::filesystem::exists(file));
     EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
+// --- checkpoints are record stores ----------------------------------------
+// A checkpoint is a store whose header carries the done bitmap. Every
+// malformed variant must surface as dataset_error, raised before anything is
+// sized by the declared total: the retired row reader let std::bad_alloc
+// ("total,99999999999999") and std::invalid_argument ("total,abc") escape
+// and read "rec,1,3x,..." as path 3.
+
+/// 2 paths x 1 trace x 3 epochs = 6 slots.
+testbed::campaign_config six_slot_config() {
+    testbed::campaign_config cfg;
+    cfg.paths = 2;
+    cfg.traces_per_path = 1;
+    cfg.epochs_per_trace = 3;
+    return cfg;
+}
+
+/// Slots 0, 2 and 3 completed, with distinctive field values: a 20-digit
+/// event count, a prefix list, a NaN, a fault flag.
+testbed::campaign_checkpoint six_slot_checkpoint() {
+    testbed::campaign_checkpoint ck;
+    ck.fingerprint = testbed::campaign_fingerprint(six_slot_config());
+    ck.total = 6;
+    ck.done = {1, 0, 1, 1, 0, 0};
+    ck.records.resize(6);
+    for (const std::size_t i : {0u, 2u, 3u}) {
+        testbed::epoch_record& r = ck.records[i];
+        r.path_id = i < 3 ? 1 : 2;
+        r.epoch_index = static_cast<int>(i % 3);
+        r.m.r_large_bps = 1.5 + static_cast<double>(i);
+        r.m.phat = i == 2 ? std::nan("") : 0.01;
+        r.m.events = 10000000000000000000ULL + i;
+        r.m.fault_flags = i == 3 ? testbed::fault_pathload_failed : testbed::fault_none;
+        r.m.prefix_goodputs = {{0.5, 2e5}, {1.0, 3e5}};
+    }
+    return ck;
+}
+
+/// Parse `text` as a checkpoint of six_slot_config (or of any campaign when
+/// `fingerprint` is empty) and require a dataset_error containing `needle`.
+void expect_checkpoint_error(const std::string& text, const std::string& needle,
+                             const std::string& fingerprint =
+                                 testbed::campaign_fingerprint(six_slot_config())) {
+    std::istringstream in(text);
+    try {
+        (void)testbed::load_checkpoint(in, "<test>", fingerprint);
+        ADD_FAILURE() << "accepted a malformed checkpoint; want \"" << needle << "\"";
+    } catch (const testbed::dataset_error& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+}
+
+/// `text` with the first occurrence of `from` replaced by `to`.
+std::string replaced(std::string text, const std::string& from, const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+}
+
+TEST_F(record_store, checkpoint_is_a_store_with_a_done_bitmap) {
+    const auto ck = six_slot_checkpoint();
+    const auto file = dir_ / "c.ckpt";
+    testbed::save_checkpoint(ck, file);
+    const std::string text = read_file(file);
+    EXPECT_EQ(text.rfind("tcppred-store,v1\n", 0), 0u);
+    // Slots 0, 2, 3 -> bits 0, 2, 3 of the first digit (0xd); slots 4, 5
+    // -> the second digit, whose two padding bits stay zero.
+    EXPECT_NE(text.find("\ndone,6,d0\n"), std::string::npos) << text;
+
+    testbed::record_reader reader(file);
+    ASSERT_TRUE(reader.done_total().has_value());
+    EXPECT_EQ(*reader.done_total(), 6u);
+    EXPECT_EQ(reader.total(), 3u);
+
+    const auto back = testbed::load_checkpoint(file, ck.fingerprint);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->fingerprint, ck.fingerprint);
+    EXPECT_EQ(back->total, 6u);
+    EXPECT_EQ(back->done, ck.done);
+    for (const std::size_t i : {0u, 2u, 3u}) {
+        expect_records_equal(back->records[i], ck.records[i]);
+    }
+    EXPECT_FALSE(testbed::load_checkpoint(dir_ / "absent.ckpt", ck.fingerprint).has_value());
+}
+
+TEST_F(record_store, checkpoint_rejects_every_truncation) {
+    const auto file = dir_ / "c.ckpt";
+    testbed::save_checkpoint(six_slot_checkpoint(), file);
+    const std::string text = read_file(file);
+    // Every proper prefix except the one missing only the final newline
+    // (the same content) must be refused.
+    for (std::size_t n = 0; n + 1 < text.size(); ++n) {
+        SCOPED_TRACE(n);
+        expect_checkpoint_error(text.substr(0, n), "");
+    }
+}
+
+TEST_F(record_store, checkpoint_rejects_tampered_bitmap_and_total) {
+    const auto file = dir_ / "c.ckpt";
+    testbed::save_checkpoint(six_slot_checkpoint(), file);
+    const std::string text = read_file(file);
+    // An extra done bit: the bitmap now claims more records than exist.
+    expect_checkpoint_error(replaced(text, "done,6,d0", "done,6,f0"),
+                            "done bitmap marks 4 epochs but the store holds 3");
+    expect_checkpoint_error(replaced(text, "done,6,d0", "done,6,D0"), "bad done bitmap digit");
+    // A padding bit past slot 5.
+    expect_checkpoint_error(replaced(text, "done,6,d0", "done,6,d4"), "bad done bitmap digit");
+    // Tampered totals: one the bitmap cannot span, garbage, and ones the
+    // bitmap spans but the campaign does not have.
+    expect_checkpoint_error(replaced(text, "done,6,", "done,99999999999999,"),
+                            "done bitmap length disagrees with its total");
+    expect_checkpoint_error(replaced(text, "done,6,", "done,abc,"),
+                            "store field: \"abc\" (expected an unsigned integer)");
+    expect_checkpoint_error(replaced(text, "done,6,", "done,7,"),
+                            "checkpoint total 7 disagrees with the campaign's 6 epochs");
+    expect_checkpoint_error(replaced(text, "done,6,", "done,5,"),
+                            "checkpoint total 5 disagrees with the campaign's 6 epochs");
+}
+
+TEST_F(record_store, checkpoint_rejects_partial_and_out_of_range_fields) {
+    const auto file = dir_ / "c.ckpt";
+    testbed::save_checkpoint(six_slot_checkpoint(), file);
+    const std::string text = read_file(file);
+    // Same-length edits keep the footer offsets valid, so the field parser
+    // itself must refuse them.
+    expect_checkpoint_error(replaced(text, "col,path,1,", "col,path,x,"),
+                            "store field: \"x\" (expected an integer)");
+    expect_checkpoint_error(replaced(text, "col,trace,0,", "col,trace,-,"),
+                            "store field: \"-\" (expected an integer)");
+    expect_checkpoint_error(replaced(text, "10000000000000000000", "99999999999999999999"),
+                            "(value overflows)");
+    expect_checkpoint_error(replaced(text, "col,events,1", "col,events,-"),
+                            "(expected an unsigned integer)");
+    expect_checkpoint_error(
+        replaced(text, "col,r_large_bps,0x1.8p+0", "col,r_large_bps,0x1.8p+z"),
+        "store field: \"0x1.8p+z\" (expected a float)");
+    expect_checkpoint_error(replaced(text, "chunk_capacity,1024", "chunk_capacity,1o24"),
+                            "store field: \"1o24\" (expected an unsigned integer)");
+}
+
+TEST_F(record_store, checkpoint_rejects_record_count_disagreeing_with_bitmap) {
+    const auto ck = six_slot_checkpoint();
+    for (const std::size_t appended : {2u, 4u}) {
+        const auto file = dir_ / ("c" + std::to_string(appended) + ".ckpt");
+        {
+            testbed::record_writer w(file, ck.fingerprint, {}, {}, &ck.done);
+            for (std::size_t i = 0; i < appended; ++i) w.append(ck.records[0]);
+            w.finish();
+        }
+        expect_checkpoint_error(read_file(file),
+                                "done bitmap marks 3 epochs but the store holds " +
+                                    std::to_string(appended));
+    }
+}
+
+TEST_F(record_store, checkpoint_rejects_total_far_above_config) {
+    // A well-formed bitmap of 4096 slots under a 6-epoch fingerprint: the
+    // mismatch is caught before load_checkpoint sizes anything by it.
+    const std::vector<char> done(4096, 0);
+    const auto file = dir_ / "big.ckpt";
+    {
+        testbed::record_writer w(file, testbed::campaign_fingerprint(six_slot_config()), {},
+                                 {}, &done);
+        w.finish();
+    }
+    expect_checkpoint_error(read_file(file),
+                            "checkpoint total 4096 disagrees with the campaign's 6 epochs");
+    EXPECT_THROW((void)testbed::load_checkpoint(
+                     file, testbed::campaign_fingerprint(six_slot_config())),
+                 testbed::dataset_error);
+
+    // A fingerprint declaring an unaddressable grid, accepted as "any
+    // campaign": refused by arithmetic, not by an allocation failure.
+    const std::vector<char> one(1, 0);
+    const auto huge = dir_ / "huge.ckpt";
+    {
+        testbed::record_writer w(huge, "v2|4294967295|4294967295|4294967295", {}, {}, &one);
+        w.finish();
+    }
+    expect_checkpoint_error(read_file(huge), "epoch grid overflows", "");
+}
+
+TEST_F(record_store, legacy_row_checkpoint_is_refused_by_name) {
+    const std::string fp = testbed::campaign_fingerprint(six_slot_config());
+    const std::string head = "tcppred-checkpoint,v1\nfingerprint," + fp + "\n";
+    for (const std::string& body :
+         {std::string("total,6\nrec,1,3x,0,0\n"), std::string("total,abc\n"),
+          std::string("total,99999999999999\n")}) {
+        expect_checkpoint_error(head + body, "retired checkpoint format tcppred-checkpoint,v1");
+    }
+    // The shard merge reads through the same reader.
+    const auto shard = dir_ / "legacy.ckpt";
+    std::ofstream(shard, std::ios::binary) << head << "total,6\n";
+    try {
+        (void)testbed::merge_shard_checkpoints(six_slot_config(), {shard});
+        ADD_FAILURE() << "merged a legacy checkpoint";
+    } catch (const testbed::dataset_error& e) {
+        EXPECT_NE(std::string(e.what()).find("tcppred-checkpoint,v1"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(record_store, plain_store_is_not_a_checkpoint) {
+    testbed::dataset data;
+    data.records.resize(6);
+    const std::string fp = testbed::campaign_fingerprint(six_slot_config());
+    expect_checkpoint_error(read_file(write_store(data, fp, 4)), "no done bitmap");
+}
+
+TEST_F(record_store, checkpoint_fingerprint_mismatch_names_the_field) {
+    const auto file = dir_ / "c.ckpt";
+    testbed::save_checkpoint(six_slot_checkpoint(), file);
+    testbed::campaign_config other = six_slot_config();
+    other.seed = 99;
+    expect_checkpoint_error(read_file(file), "seed: checkpoint=20040501 requested=99",
+                            testbed::campaign_fingerprint(other));
 }
 
 }  // namespace

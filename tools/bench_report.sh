@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf report generator: runs the micro-benchmarks and timed campaign runs
-# and emits two machine-readable JSON files (see PERFORMANCE.md for the
-# schema and how to read a trajectory of these):
+# and emits four machine-readable JSON files, each stamped with the host and
+# build that produced it (see PERFORMANCE.md for the schema and how to read
+# a trajectory of these):
 #
 #   BENCH_scheduler.json  event-substrate micro-benchmarks (google-benchmark
 #                         numbers for the scheduler, link forwarding and
@@ -214,5 +215,25 @@ wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
 grep 'predictions/s' "$TMP_DIR/serve.log" | sed 's/^/  /' >&2 || true
 echo "wrote $OUT_DIR/BENCH_serve.json" >&2
+
+# --- machine stamp: every BENCH file names the host and build it measured,
+# so check_bench_regression.py can tell hardware apart from a regression.
+python3 - "$BUILD_DIR" "$OUT_DIR"/BENCH_{scheduler,campaign,record_store,serve}.json <<'PY'
+import json, os, re, shlex, subprocess, sys
+build = sys.argv[1]
+bt = re.search(r"^CMAKE_BUILD_TYPE:\w+=(.*)$", open(build + "/CMakeCache.txt").read(), re.M)
+argv = shlex.split(next(c["command"] for c in json.load(open(build + "/compile_commands.json"))
+                        if c["file"].endswith("tools/tcppred_campaign.cpp")))
+cpu = [l.split(":", 1)[1].strip() for l in open("/proc/cpuinfo") if l.startswith("model name")]
+version = subprocess.run([argv[0], "--version"], capture_output=True, text=True).stdout
+stamp = {"nproc": len(os.sched_getaffinity(0)), "cpu_model": (cpu or ["unknown"])[0],
+         "compiler": version.split("\n")[0],
+         "build_type": (bt.group(1) if bt else "") or "Release",  # empty: the CMakeLists default
+         "flags": " ".join(a for a in argv[1:] if a.startswith(("-O", "-f", "-m", "-g", "-D")))}
+for path in sys.argv[2:]:
+    doc = dict(json.load(open(path)), machine=stamp)
+    open(path, "w").write(json.dumps(doc, indent=2) + "\n")
+print("stamped:", json.dumps(stamp), file=sys.stderr)
+PY
 
 echo "bench report complete: $OUT_DIR/BENCH_scheduler.json $OUT_DIR/BENCH_campaign.json $OUT_DIR/BENCH_record_store.json $OUT_DIR/BENCH_serve.json" >&2

@@ -13,7 +13,9 @@ compared (so adding a new campaign/model doesn't break the gate), but the
 committed runs must all still exist. The other files (scheduler, record
 store, serve) are schema-validated only: google-benchmark timings and
 socket round-trip latencies on shared CI runners are too noisy for a hard
-numeric gate, the end-to-end epochs/s is the contract.
+numeric gate, the end-to-end epochs/s is the contract. A WARN line (not a
+failure) flags files whose machine stamps (bench_report.sh) differ or are
+missing.
 """
 
 import argparse
@@ -115,6 +117,17 @@ def validate_serve(doc: dict, origin: pathlib.Path) -> None:
         fail(f"{origin}: p99 below p50")
 
 
+def warn_machine(name: str, committed: dict, fresh: dict) -> None:
+    """WARN (never fail) when the two files may come from different hosts."""
+    old, new = committed.get("machine"), fresh.get("machine")
+    if old is None or new is None:
+        print(f"WARN: {name}: {'committed' if old is None else 'fresh'} file carries "
+              "no machine stamp; its numbers may come from another host or build")
+    elif old != new:
+        diff = ", ".join(sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k)))
+        print(f"WARN: {name}: machine stamps differ in {diff}; a gap may be hardware")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("committed_dir", type=pathlib.Path)
@@ -123,24 +136,17 @@ def main() -> None:
                     help="max allowed slowdown vs committed (default 2.0)")
     args = ap.parse_args()
 
-    committed = validate_campaign(
-        load(args.committed_dir / "BENCH_campaign.json"),
-        args.committed_dir / "BENCH_campaign.json")
-    fresh = validate_campaign(
-        load(args.fresh_dir / "BENCH_campaign.json"),
-        args.fresh_dir / "BENCH_campaign.json")
-    validate_scheduler(load(args.committed_dir / "BENCH_scheduler.json"),
-                       args.committed_dir / "BENCH_scheduler.json")
-    validate_scheduler(load(args.fresh_dir / "BENCH_scheduler.json"),
-                       args.fresh_dir / "BENCH_scheduler.json")
-    validate_record_store(load(args.committed_dir / "BENCH_record_store.json"),
-                          args.committed_dir / "BENCH_record_store.json")
-    validate_record_store(load(args.fresh_dir / "BENCH_record_store.json"),
-                          args.fresh_dir / "BENCH_record_store.json")
-    validate_serve(load(args.committed_dir / "BENCH_serve.json"),
-                   args.committed_dir / "BENCH_serve.json")
-    validate_serve(load(args.fresh_dir / "BENCH_serve.json"),
-                   args.fresh_dir / "BENCH_serve.json")
+    validators = {"BENCH_campaign.json": validate_campaign,
+                  "BENCH_scheduler.json": validate_scheduler,
+                  "BENCH_record_store.json": validate_record_store,
+                  "BENCH_serve.json": validate_serve}
+    tables = {}
+    for name, validate in validators.items():
+        docs = [load(d / name) for d in (args.committed_dir, args.fresh_dir)]
+        tables[name] = [validate(doc, d / name)
+                        for doc, d in zip(docs, (args.committed_dir, args.fresh_dir))]
+        warn_machine(name, *docs)
+    committed, fresh = tables["BENCH_campaign.json"]
 
     failed = False
     for key, old in sorted(committed.items()):

@@ -317,8 +317,6 @@ int main(int argc, char** argv) {
             return 1;
         }
     }
-    tcppred::obs::init_from_env();
-    if (metrics_summary) tcppred::obs::set_metrics_enabled(true);
     const auto finish_observability = [&]() -> int {
         if (metrics_summary) tcppred::obs::write_metrics_summary(std::cerr);
         if (!trace_file.empty()) {
@@ -333,6 +331,9 @@ int main(int argc, char** argv) {
     };
 
     try {
+        // Inside the try: a garbage $REPRO_METRICS exits 2 naming it.
+        tcppred::obs::init_from_env();
+        if (metrics_summary) tcppred::obs::set_metrics_enabled(true);
         // One pass evaluates the FB baseline, every requested HB spec, and
         // the HW-LSO classifier input together. fb:pftk is always index 0 —
         // the one spec whose per-epoch errors the report needs.
@@ -379,10 +380,6 @@ int main(int argc, char** argv) {
             }
             print_report(counts, all_specs, specs, summaries);
         }
-    } catch (const core::predictor_spec_error& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        finish_observability();
-        return 2;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         finish_observability();

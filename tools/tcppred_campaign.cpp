@@ -134,9 +134,9 @@ int main(int argc, char** argv) {
         // Read eagerly: a garbled $REPRO_CHAOS_ATTEMPT must fail here with
         // the other environment knobs, not throw mid-campaign.
         chaos_attempt = tcppred::sim::chaos_attempt_from_env();
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "bad fault/chaos environment: %s\n", e.what());
-        return 1;
+    } catch (const tcppred::core::parse_error& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     }
 
     // Numeric flag values go through core::parse_checked_* (one shared
@@ -317,8 +317,6 @@ int main(int argc, char** argv) {
             return 1;
         }
     }
-    tcppred::obs::init_from_env();
-    if (metrics_summary) tcppred::obs::set_metrics_enabled(true);
     // Runs on every exit path (success, SIGINT, runtime failure): the
     // summary covers whatever work completed, and close() surfaces drain
     // write errors that would otherwise vanish with the process.
@@ -336,6 +334,9 @@ int main(int argc, char** argv) {
     };
 
     try {
+        // Inside the try: a garbage $REPRO_METRICS exits 2 naming it.
+        tcppred::obs::init_from_env();
+        if (metrics_summary) tcppred::obs::set_metrics_enabled(true);
         if (!convert_from.empty()) {
             record_reader reader(convert_from);
             const std::size_t n = reader.total();

@@ -41,10 +41,10 @@
 
 #include "analysis/evaluation.hpp"
 #include "core/checked_parse.hpp"
+#include "core/hexfloat.hpp"
 #include "core/predictor_registry.hpp"
 #include "obs/stopwatch.hpp"
 #include "serve/protocol.hpp"
-#include "testbed/checkpoint.hpp"
 #include "testbed/dataset.hpp"
 #include "testbed/record_store.hpp"
 
@@ -328,7 +328,7 @@ int main(int argc, char** argv) {
                             const analysis::epoch_score& sc = scored[cursor[j]];
                             emit_pred(out, names[j], key.first, key.second,
                                       sc.rec->epoch_index,
-                                      testbed::hexd(sc.predicted_bps));
+                                      core::hexd(sc.predicted_bps));
                             ++cursor[j];
                         }
                     }

@@ -153,11 +153,11 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    tcppred::obs::init_from_env();
-    if (metrics_summary) tcppred::obs::set_metrics_enabled(true);
-
     int rc = 0;
     try {
+        // Inside the try: a garbage $REPRO_METRICS exits 2 naming it.
+        tcppred::obs::init_from_env();
+        if (metrics_summary) tcppred::obs::set_metrics_enabled(true);
         tcppred::serve::path_table table(specs, {}, shards);
         if (resume && std::filesystem::exists(scfg.snapshot_file)) {
             const tcppred::serve::snapshot_stats st =
