@@ -1,20 +1,68 @@
-// google-benchmark micro-benchmarks for the simulation substrate: event
-// scheduling throughput, link forwarding, and end-to-end TCP simulation
-// cost — what bounds the wall-clock of a measurement campaign.
+// google-benchmark micro-benchmarks for the simulation substrate: random
+// draws, event scheduling throughput, link forwarding, and end-to-end TCP
+// simulation cost — what bounds the wall-clock of a measurement campaign.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "net/cross_traffic.hpp"
 #include "net/packet.hpp"
 #include "net/path.hpp"
+#include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "tcp/tcp.hpp"
+#include "testbed/campaign.hpp"
+#include "testbed/load_process.hpp"
+#include "testbed/path_catalog.hpp"
 
 using namespace tcppred;
 
 namespace {
+
+/// One uniform draw: the engine plus the scaling every distribution uses.
+void bm_rng_uniform(benchmark::State& state) {
+    sim::rng r(20040501);
+    for (auto _ : state) benchmark::DoNotOptimize(r.uniform());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(bm_rng_uniform);
+
+/// One normal draw (the polar method: about 2.5 uniforms, a log and a sqrt),
+/// at the load process's jitter parameters.
+void bm_rng_normal(benchmark::State& state) {
+    sim::rng r(20040501);
+    for (auto _ : state) benchmark::DoNotOptimize(r.normal(0.0, 0.015));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(bm_rng_normal);
+
+/// Campaign set-up's random work: the load trajectories of 35 campaign-1
+/// paths x 8 traces x 150 epochs, each from a freshly seeded stream, with
+/// the per-trace seed derivation run_campaign uses. Items are trajectories.
+void bm_load_trajectory(benchmark::State& state) {
+    const std::vector<testbed::path_profile> paths = testbed::ron_like_catalog(35, 20040501);
+    const std::uint64_t seed =
+        testbed::campaign1_config(testbed::campaign_scale::normal).seed;
+    constexpr int k_traces = 8;
+    constexpr int k_epochs = 150;
+    for (auto _ : state) {
+        for (const testbed::path_profile& p : paths) {
+            for (int t = 0; t < k_traces; ++t) {
+                const auto loads = testbed::load_trajectory(
+                    p,
+                    sim::derive_seed(seed, "trace", static_cast<std::uint64_t>(p.id),
+                                     static_cast<std::uint64_t>(t)),
+                    k_epochs);
+                benchmark::DoNotOptimize(loads.data());
+            }
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(paths.size() * k_traces));
+}
+BENCHMARK(bm_load_trajectory);
 
 void bm_scheduler_throughput(benchmark::State& state) {
     for (auto _ : state) {

@@ -14,6 +14,7 @@ poisson_source::poisson_source(sim::scheduler& sched, duplex_path& path,
       rng_(seed),
       rate_bps_(rate_bps),
       mix_(mix),
+      mean_packet_bits_(mix.mean_bytes() * 8.0),
       model_(model) {}
 
 void poisson_source::start() {
@@ -43,7 +44,7 @@ void poisson_source::set_rate(double rate_bps) {
 
 void poisson_source::schedule_next() {
     if (!running_ || rate_bps_ <= 0.0) return;
-    const double mean_interarrival = mix_.mean_bytes() * 8.0 / rate_bps_;
+    const double mean_interarrival = mean_packet_bits_ / rate_bps_;
     sched_->schedule_in(rng_.exponential(mean_interarrival), [this] {
         if (!running_) return;
         packet p;

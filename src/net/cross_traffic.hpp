@@ -80,6 +80,7 @@ private:
     sim::rng rng_;
     double rate_bps_;
     packet_size_mix mix_;
+    double mean_packet_bits_;  ///< mix_.mean_bytes() * 8.0, once per source
     cross_model model_;
     bool running_{false};
     std::uint64_t seq_{0};

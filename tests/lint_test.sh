@@ -57,11 +57,19 @@ for rule in det-rng det-clock det-env det-thread det-unordered-iter \
         elif printf '%s\n' "$out" | grep -qv "\[$rule\]"; then
             note_fail "$rule: a finding carries the wrong rule id" "$out"
         fi
+        # A fixture that marks its violating lines with "// fires" must get
+        # exactly one finding per marked line.
+        want=$(grep -c '// fires' "$fixture")
+        got=$(printf '%s\n' "$out" | grep -c "\[$rule\]")
+        if [ "$want" -gt 0 ] && [ "$got" -ne "$want" ]; then
+            note_fail "$rule: $got finding(s), want $want (one per '// fires' line)" "$out"
+        fi
     fi
 done
 
 # Clean and suppressed fixtures: no findings, exit 0.
-for rel in src/alpha/alpha.hpp src/alpha/clean.cpp src/alpha/suppressed.cpp; do
+for rel in src/alpha/alpha.hpp src/alpha/clean.cpp src/alpha/suppressed.cpp \
+           tests/std_random_reference.cpp; do
     run "clean: $rel" 0 "$LINT" --root "$ROOT" --config "$CONF" "$rel" || true
 done
 

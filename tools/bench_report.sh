@@ -5,8 +5,9 @@
 # a trajectory of these):
 #
 #   BENCH_scheduler.json  event-substrate micro-benchmarks (google-benchmark
-#                         numbers for the scheduler, link forwarding and
-#                         TCP hot loops, from bench/micro_engine)
+#                         numbers for random draws, load trajectories, the
+#                         scheduler, link forwarding and TCP hot loops, from
+#                         bench/micro_engine)
 #   BENCH_campaign.json   end-to-end campaign throughput in epochs/s, per
 #                         campaign and cross-traffic model
 #   BENCH_record_store.json
@@ -22,8 +23,10 @@
 #   --out-dir DIR     where to write the BENCH_*.json files, created if
 #                     missing (default: repository root — the committed
 #                     copies)
-#   --scale S         tiny | normal   campaign geometry (default: tiny;
-#                     committed files are regenerated at normal scale)
+#   --scale S         tiny | normal   campaign geometry (default: tiny,
+#                     the scale of the committed files and of CI's
+#                     comparison; PERFORMANCE.md's trajectory tables are
+#                     normal scale)
 #   --jobs N          worker threads for the campaign runs (default: 1,
 #                     serial — the number quoted in the perf trajectory)
 #

@@ -12,6 +12,9 @@
 // Rule catalogue (stable IDs — tests and allowlists key on these):
 //   det-rng            std::random_device / rand / srand / drand48: all
 //                      randomness must come from sim/rng.hpp seeded streams.
+//                      Under src/ also <random>, std::mt19937*, std::
+//                      *_distribution and generate_canonical, whose
+//                      algorithms belong to the standard library.
 //   det-clock          wall clocks (time(), *_clock, gettimeofday, ...):
 //                      simulated time only; real time lives in obs/.
 //   det-env            getenv outside the blessed config-from-env modules:

@@ -9,7 +9,7 @@ namespace tcppred::lint {
 
 const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
     static const std::vector<std::pair<std::string, std::string>> rules = {
-        {"det-rng", "nondeterministic randomness (random_device, rand, srand)"},
+        {"det-rng", "nondeterministic or library-defined randomness (random_device, rand, <random> in src/)"},
         {"det-clock", "wall-clock reads (time(), system/steady clocks) outside obs/"},
         {"det-env", "getenv outside the blessed config-from-env modules"},
         {"det-thread", "ad-hoc thread creation outside sim/thread_pool"},

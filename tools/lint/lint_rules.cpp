@@ -209,6 +209,7 @@ public:
             const char* rule;
             const std::regex re;
             const char* what;
+            bool src_only{false};  ///< tests/ and bench/ may use it as a reference
         };
         static const std::vector<ban> bans = {
             {"det-rng", std::regex(R"(\brandom_device\b)"),
@@ -217,6 +218,17 @@ public:
              "rand()/srand() — use a sim::rng stream seeded from the campaign seed"},
             {"det-rng", std::regex(R"(\bdrand48\b)"),
              "drand48 — use a sim::rng stream seeded from the campaign seed"},
+            // <random>'s distributions are library-defined algorithms: a
+            // stream drawn through them ties dataset bytes to one standard
+            // library. sim/rng.hpp owns the engine and every distribution.
+            {"det-rng", std::regex(R"(^\s*#\s*include\s*<random>)"),
+             "<random> — sim/rng.hpp owns the engine and distributions", true},
+            {"det-rng", std::regex(R"(\bstd\s*::\s*mt19937)"),
+             "std::mt19937* — draw from a sim::rng stream (its engine is sim::mt19937_64)", true},
+            {"det-rng", std::regex(R"(\bstd\s*::\s*\w+_distribution\b)"),
+             "std:: distribution — library-defined algorithm; use sim::rng's", true},
+            {"det-rng", std::regex(R"(\bgenerate_canonical\b)"),
+             "generate_canonical — library-defined algorithm; use sim::rng::uniform", true},
             {"det-clock", std::regex(R"(\b(system_clock|steady_clock|high_resolution_clock)\b)"),
              "wall clock — simulated time only; real-time measurement belongs in obs/"},
             {"det-clock", std::regex(R"(\b(gettimeofday|clock_gettime|localtime|gmtime)\b)"),
@@ -232,8 +244,10 @@ public:
             {"det-thread", std::regex(R"(\bstd\s*::\s*async\s*\()"),
              "thread creation — all parallelism goes through sim/thread_pool"},
         };
+        const bool in_src = src_.rel_path.rfind("src/", 0) == 0;
         for (std::size_t l = 0; l < src_.lines.size(); ++l) {
             for (const auto& b : bans) {
+                if (b.src_only && !in_src) continue;
                 if (std::regex_search(src_.lines[l], b.re)) {
                     report(b.rule, l, b.what);
                 }
