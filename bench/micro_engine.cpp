@@ -14,6 +14,7 @@
 #include "sim/scheduler.hpp"
 #include "tcp/tcp.hpp"
 #include "testbed/campaign.hpp"
+#include "testbed/epoch_runner.hpp"
 #include "testbed/load_process.hpp"
 #include "testbed/path_catalog.hpp"
 
@@ -193,6 +194,44 @@ void bm_loaded_path_second(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_loaded_path_second);
+
+/// Fixed work at the top of the stack: the first epoch of the first 12
+/// campaign-1 catalogue paths at the campaign-1 seed, each through
+/// testbed::run_epoch with the seed and load the campaign derives for it.
+/// Items are fired events, so items/s is the whole epoch loop's event rate
+/// (scheduler, links, TCP and probes together).
+void run_first_epochs(benchmark::State& state, net::cross_model model) {
+    testbed::campaign_config cfg = testbed::campaign1_config(testbed::campaign_scale::normal);
+    cfg.epoch.cross = model;
+    const std::vector<testbed::path_profile> paths = testbed::campaign_catalog(cfg);
+    constexpr std::size_t k_paths = 12;
+    std::vector<testbed::load_state> loads;
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t i = 0; i < k_paths; ++i) {
+        const auto id = static_cast<std::uint64_t>(paths[i].id);
+        loads.push_back(testbed::load_trajectory(
+            paths[i], sim::derive_seed(cfg.seed, "trace", id, std::uint64_t{0}), 1)[0]);
+        seeds.push_back(sim::derive_seed(cfg.seed, "epoch", id, std::uint64_t{0},
+                                         std::uint64_t{0}));
+    }
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < k_paths; ++i) {
+            events += testbed::run_epoch(paths[i], loads[i], seeds[i], cfg.epoch).events;
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+
+void bm_run_epoch_packet(benchmark::State& state) {
+    run_first_epochs(state, net::cross_model::packet);
+}
+BENCHMARK(bm_run_epoch_packet);
+
+void bm_run_epoch_fluid(benchmark::State& state) {
+    run_first_epochs(state, net::cross_model::fluid);
+}
+BENCHMARK(bm_run_epoch_fluid);
 
 }  // namespace
 

@@ -7,7 +7,7 @@ namespace tcppred::net {
 poisson_source::poisson_source(sim::scheduler& sched, duplex_path& path,
                                std::size_t link_index, flow_id flow, std::uint64_t seed,
                                double rate_bps, packet_size_mix mix, cross_model model)
-    : sched_(&sched),
+    : sim::event_stream(sched),
       path_(&path),
       link_index_(link_index),
       flow_(flow),
@@ -25,7 +25,7 @@ void poisson_source::start() {
         path_->forward_link(link_index_).add_fluid_rate(rate_bps_);
         return;
     }
-    schedule_next();
+    if (!has_head()) schedule_next();
 }
 
 void poisson_source::stop() {
@@ -45,24 +45,28 @@ void poisson_source::set_rate(double rate_bps) {
 void poisson_source::schedule_next() {
     if (!running_ || rate_bps_ <= 0.0) return;
     const double mean_interarrival = mean_packet_bits_ / rate_bps_;
-    sched_->schedule_in(rng_.exponential(mean_interarrival), [this] {
-        if (!running_) return;
-        packet p;
-        p.flow = flow_;
-        p.kind = packet_kind::cross;
-        p.size_bytes = mix_.draw(rng_);
-        p.seq = seq_++;
-        p.sent_at = sched_->now();
-        path_->inject_forward(link_index_, p);
-        schedule_next();
-    });
+    set_head(admit_in(rng_.exponential(mean_interarrival)));
+}
+
+void poisson_source::fire_head() {
+    release();
+    clear_head();
+    if (!running_) return;
+    packet p;
+    p.flow = flow_;
+    p.kind = packet_kind::cross;
+    p.size_bytes = mix_.draw(rng_);
+    p.seq = seq_++;
+    p.sent_at = sched().now();
+    path_->inject_forward(link_index_, p);
+    schedule_next();
 }
 
 pareto_onoff_source::pareto_onoff_source(sim::scheduler& sched, duplex_path& path,
                                          std::size_t link_index, flow_id flow,
                                          std::uint64_t seed, pareto_onoff_config cfg,
                                          cross_model model)
-    : sched_(&sched),
+    : sim::event_stream(sched),
       path_(&path),
       link_index_(link_index),
       flow_(flow),
@@ -73,8 +77,17 @@ pareto_onoff_source::pareto_onoff_source(sim::scheduler& sched, duplex_path& pat
 void pareto_onoff_source::start() {
     if (running_) return;
     running_ = true;
+    if (cycle_pending_ || has_head()) return;
     // Random initial OFF phase so concurrent sources don't synchronize.
-    sched_->schedule_in(rng_.exponential(cfg_.mean_off_s), [this] { begin_on_period(); });
+    schedule_begin();
+}
+
+void pareto_onoff_source::schedule_begin() {
+    cycle_pending_ = true;
+    sched().schedule_in(rng_.exponential(cfg_.mean_off_s), [this] {
+        cycle_pending_ = false;
+        begin_on_period();
+    });
 }
 
 void pareto_onoff_source::stop() {
@@ -105,10 +118,15 @@ void pareto_onoff_source::begin_on_period() {
         // One burst = two events: rate up now, rate down at the burst end.
         path_->forward_link(link_index_).add_fluid_rate(cfg_.peak_rate_bps);
         applied_rate_bps_ = cfg_.peak_rate_bps;
-        sched_->schedule_in(on, [this] { end_on_period(); });
+        cycle_pending_ = true;
+        sched().schedule_in(on, [this] {
+            cycle_pending_ = false;
+            end_on_period();
+        });
         return;
     }
-    emit(sched_->now() + on);
+    burst_until_ = sched().now() + on;
+    emit();
 }
 
 void pareto_onoff_source::end_on_period() {
@@ -117,13 +135,19 @@ void pareto_onoff_source::end_on_period() {
         applied_rate_bps_ = 0.0;
     }
     if (!running_) return;
-    sched_->schedule_in(rng_.exponential(cfg_.mean_off_s), [this] { begin_on_period(); });
+    schedule_begin();
 }
 
-void pareto_onoff_source::emit(double until) {
+void pareto_onoff_source::fire_head() {
+    release();
+    clear_head();
+    emit();
+}
+
+void pareto_onoff_source::emit() {
     if (!running_) return;
-    if (sched_->now() >= until) {
-        sched_->schedule_in(rng_.exponential(cfg_.mean_off_s), [this] { begin_on_period(); });
+    if (sched().now() >= burst_until_) {
+        schedule_begin();
         return;
     }
     packet p;
@@ -131,14 +155,14 @@ void pareto_onoff_source::emit(double until) {
     p.kind = packet_kind::cross;
     p.size_bytes = cfg_.packet_bytes;
     p.seq = seq_++;
-    p.sent_at = sched_->now();
+    p.sent_at = sched().now();
     path_->inject_forward(link_index_, p);
     const double spacing = cfg_.packet_bytes * 8.0 / cfg_.peak_rate_bps;
     // A zero mean rate (a path without a bursty share) means a zero peak
     // rate: the burst's first packet is its last, and the source falls
     // silent for good rather than parking an event at t = +inf.
     if (!std::isfinite(spacing)) return;
-    sched_->schedule_in(spacing, [this, until] { emit(until); });
+    set_head(admit_in(spacing));
 }
 
 }  // namespace tcppred::net

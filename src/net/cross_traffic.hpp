@@ -53,17 +53,20 @@ struct packet_size_mix {
     }
 };
 
-/// Poisson packet-arrival source at a configurable bit rate.
-class poisson_source {
+/// Poisson packet-arrival source at a configurable bit rate. In packet mode
+/// its single pending arrival is an event stream (DESIGN.md §13.7).
+class poisson_source final : public sim::event_stream {
 public:
     poisson_source(sim::scheduler& sched, duplex_path& path, std::size_t link_index,
                    flow_id flow, std::uint64_t seed, double rate_bps,
                    packet_size_mix mix = {}, cross_model model = cross_model::packet);
 
     /// Begin emitting packets (idempotent). In fluid mode this applies the
-    /// constant rate to the link instead — no events at all.
+    /// constant rate to the link instead — no events at all. Restarting
+    /// before a stopped source's pending arrival fired resumes that arrival.
     void start();
-    /// Stop emitting (already-queued packets still drain).
+    /// Stop emitting (already-queued packets still drain; the pending
+    /// arrival still fires, as a no-op).
     void stop();
     /// Change the offered load; takes effect from the next arrival (packet
     /// mode) or immediately (fluid mode).
@@ -72,8 +75,8 @@ public:
 
 private:
     void schedule_next();
+    void fire_head() override;
 
-    sim::scheduler* sched_;
     duplex_path* path_;
     std::size_t link_index_;
     flow_id flow_;
@@ -97,12 +100,16 @@ struct pareto_onoff_config {
     std::uint32_t packet_bytes{1500};
 };
 
-class pareto_onoff_source {
+/// In packet mode the in-burst emit chain is an event stream (one pending
+/// emission, DESIGN.md §13.7); the burst boundaries stay on the calendar.
+class pareto_onoff_source final : public sim::event_stream {
 public:
     pareto_onoff_source(sim::scheduler& sched, duplex_path& path, std::size_t link_index,
                         flow_id flow, std::uint64_t seed, pareto_onoff_config cfg,
                         cross_model model = cross_model::packet);
 
+    /// Begin the on/off cycle (idempotent). Restarting before a stopped
+    /// source's pending cycle event fired resumes that cycle.
     void start();
     void stop();
 
@@ -117,9 +124,10 @@ public:
 private:
     void begin_on_period();
     void end_on_period();
-    void emit(double until);
+    void schedule_begin();
+    void emit();
+    void fire_head() override;
 
-    sim::scheduler* sched_;
     duplex_path* path_;
     std::size_t link_index_;
     flow_id flow_;
@@ -127,6 +135,8 @@ private:
     pareto_onoff_config cfg_;
     cross_model model_;
     bool running_{false};
+    bool cycle_pending_{false};     ///< a burst-boundary event is on the calendar
+    double burst_until_{0.0};       ///< end of the current ON period (packet mode)
     double applied_rate_bps_{0.0};  ///< fluid rate currently on the link
     std::uint64_t seq_{0};
 };

@@ -13,7 +13,7 @@ void link::set_random_loss(double probability, std::uint64_t seed,
     if (burst_duration_s > 0.0 && probability > 0.0 && probability < 1.0) {
         // Start inside a good period of the stationary process.
         const double mean_good = burst_duration_s * (1.0 - probability) / probability;
-        state_until_ = sched_->now() + loss_rng_->exponential(mean_good);
+        state_until_ = sched().now() + loss_rng_->exponential(mean_good);
     } else {
         state_until_ = 0.0;
     }
@@ -25,7 +25,7 @@ bool link::random_loss_hit() {
 
     // Gilbert-Elliott in time: advance the two-state machine lazily to now.
     // Mean good duration G solves loss = bad/(bad+good): G = B(1-p)/p.
-    const double now = sched_->now();
+    const double now = sched().now();
     while (now >= state_until_) {
         if (in_bad_state_) {
             in_bad_state_ = false;
@@ -47,7 +47,7 @@ void link::set_outage(double from_s, double until_s) {
 void link::add_fluid_rate(double delta_bps) {
     if (!fluid_active_) {
         fluid_active_ = true;
-        fluid_updated_ = sched_->now();
+        fluid_updated_ = sched().now();
     }
     advance_fluid();  // integrate the old rate up to the change instant
     fluid_rate_ += delta_bps;
@@ -55,7 +55,7 @@ void link::add_fluid_rate(double delta_bps) {
 }
 
 void link::advance_fluid() {
-    const double now = sched_->now();
+    const double now = sched().now();
     const double dt = now - fluid_updated_;
     fluid_updated_ = now;
     if (dt <= 0.0) return;
@@ -85,7 +85,7 @@ void link::advance_fluid() {
 }
 
 bool link::enqueue(packet p) {
-    const double now = sched_->now();
+    const double now = sched().now();
     if (now >= outage_from_ && now < outage_until_) {
         ++stats_.dropped;
         return false;
@@ -106,6 +106,7 @@ bool link::enqueue(packet p) {
         const double ahead = fluid_tail_bits_;
         fluid_tail_bits_ = 0.0;
         start_transmission(p, ahead);
+        publish_head();
         return true;
     }
     double occupancy = static_cast<double>(queue_.size());
@@ -130,27 +131,50 @@ void link::start_transmission(packet p, double fluid_ahead_bits) {
         fluid_total_bits_ = std::max(0.0, fluid_total_bits_ - fluid_ahead_bits);
     }
     stats_.busy_time += tx;
-    sched_->schedule_in(tx, [this, p] {
-        // Transmission finished: the packet leaves onto the wire and the
-        // next queued packet starts serializing immediately.
-        if (fluid_active_) advance_fluid();
-        ++stats_.delivered;
-        stats_.bytes_delivered += p.size_bytes;
-        sched_->schedule_in(prop_delay_, [this, p] {
-            if (sink_) sink_(p);
-        });
-        on_tx_complete();
-    });
+    tx_key_ = admit_in(tx);
+    tx_packet_ = p;
 }
 
-void link::on_tx_complete() {
-    if (queue_.empty()) {
-        transmitting_ = false;
+void link::publish_head() {
+    // A new transmission can complete before the wire's front arrives: the
+    // head may move earlier as well as later.
+    head_is_tx_ = transmitting_ && (wire_.empty() || tx_key_ < wire_.front().key);
+    if (head_is_tx_) {
+        set_head(tx_key_);
+    } else if (!wire_.empty()) {
+        set_head(wire_.front().key);
+    } else {
+        clear_head();
+    }
+}
+
+void link::fire_head() {
+    if (head_is_tx_) {
+        complete_transmission();
         return;
     }
-    queued next = queue_.front();
-    queue_.pop_front();
-    start_transmission(next.p, next.fluid_ahead_bits);
+    // A propagated packet reaches the far end.
+    const packet p = wire_.pop_front().value;
+    release();
+    publish_head();
+    if (sink_) sink_(p);
+}
+
+void link::complete_transmission() {
+    release();
+    if (fluid_active_) advance_fluid();
+    ++stats_.delivered;
+    stats_.bytes_delivered += tx_packet_.size_bytes;
+    // Key order of the two admissions: the delivery first, then the next
+    // transmission's completion.
+    wire_.push_back({admit_in(prop_delay_), tx_packet_});
+    if (queue_.empty()) {
+        transmitting_ = false;
+    } else {
+        const queued next = queue_.pop_front();
+        start_transmission(next.p, next.fluid_ahead_bits);
+    }
+    publish_head();
 }
 
 }  // namespace tcppred::net

@@ -4,12 +4,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <utility>
 
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 
@@ -31,19 +31,21 @@ struct link_stats {
 /// the sink `prop_delay` seconds after their transmission completes.
 /// Propagation does not serialize: several packets can be "in flight" on the
 /// wire simultaneously.
-class link {
+///
+/// The link is an event stream (DESIGN.md §13.7): its pending events are the
+/// one transmission in progress and the packets on the wire, a FIFO whose
+/// delivery times grow with their transmission-completion times. Neither
+/// touches the calendar queue.
+class link final : public sim::event_stream {
 public:
     /// @param buffer_packets maximum number of packets queued *behind* the
     ///        one in transmission (classic drop-tail buffer size).
     link(sim::scheduler& sched, double capacity_bps, double prop_delay_s,
          std::size_t buffer_packets)
-        : sched_(&sched),
+        : sim::event_stream(sched),
           capacity_bps_(capacity_bps),
           prop_delay_(prop_delay_s),
           buffer_packets_(buffer_packets) {}
-
-    link(const link&) = delete;
-    link& operator=(const link&) = delete;
 
     /// Where delivered packets go (next hop's enqueue or endpoint demux).
     void set_sink(std::function<void(packet)> sink) { sink_ = std::move(sink); }
@@ -104,7 +106,7 @@ public:
     /// Fraction of time the link transmitted since construction (or since
     /// the given origin time).
     [[nodiscard]] double utilization(double since = 0.0) const noexcept {
-        const double span = sched_->now() - since;
+        const double span = sched().now() - since;
         return span > 0.0 ? stats_.busy_time / span : 0.0;
     }
 
@@ -116,21 +118,31 @@ private:
         double fluid_ahead_bits{0.0};
     };
 
+    /// Begin serializing `p`: fills the transmission slot. The caller
+    /// publishes the new head.
     void start_transmission(packet p, double fluid_ahead_bits);
-    void on_tx_complete();
+    void fire_head() override;
+    /// The in-progress transmission completes: the packet moves onto the
+    /// wire and the next queued packet starts serializing.
+    void complete_transmission();
+    /// Publish the earlier of the transmission slot and the wire's front.
+    void publish_head();
     /// Integrate the fluid process up to now() under the current server
     /// state; must be called at every state-transition or rate-change point.
     void advance_fluid();
 
-    sim::scheduler* sched_;
     double capacity_bps_;
     double prop_delay_;
     std::size_t buffer_packets_;
     [[nodiscard]] bool random_loss_hit();
 
     std::function<void(packet)> sink_;
-    std::deque<queued> queue_;
-    bool transmitting_{false};
+    sim::ring<queued> queue_;
+    bool transmitting_{false};  ///< the transmission slot is pending
+    sim::event_key tx_key_{};   ///< completion of the transmission in progress
+    packet tx_packet_{};
+    bool head_is_tx_{false};    ///< the published head is tx_key_, not the wire's front
+    sim::ring<sim::keyed<packet>> wire_;  ///< propagating packets, by delivery key
     bool fluid_active_{false};
     double fluid_rate_{0.0};        ///< aggregate fluid arrival rate, bps
     double fluid_tail_bits_{0.0};   ///< fluid behind the last queued packet

@@ -83,30 +83,26 @@ shared_link_conduit::shared_link_conduit(sim::scheduler& sched, duplex_path& pat
                                          core::seconds access_delay,
                                          core::seconds egress_delay,
                                          core::seconds ack_delay)
-    : sched_(&sched),
-      path_(&path),
+    : path_(&path),
       link_index_(link_index),
       flow_(flow),
-      access_delay_(access_delay.value()),
-      egress_delay_(egress_delay.value()),
-      ack_delay_(ack_delay.value()) {
-    TCPPRED_EXPECTS(access_delay_ >= 0.0 && egress_delay_ >= 0.0 && ack_delay_ >= 0.0);
-    path_->on_cross_exit(flow_, [this](packet p) {
-        sched_->schedule_in(egress_delay_, [this, p] {
-            if (data_handler_) data_handler_(p);
-        });
-    });
+      access_(sched, access_delay.value(),
+              [this](packet p) { path_->inject_forward(link_index_, p); }),
+      egress_(sched, egress_delay.value(),
+              [this](packet p) {
+                  if (data_handler_) data_handler_(p);
+              }),
+      acks_(sched, ack_delay.value(), [this](packet p) {
+          if (ack_handler_) ack_handler_(p);
+      }) {
+    TCPPRED_EXPECTS(access_delay.value() >= 0.0 && egress_delay.value() >= 0.0 &&
+                    ack_delay.value() >= 0.0);
+    path_->on_cross_exit(flow_, [this](packet p) { egress_.push(p); });
 }
 
-void shared_link_conduit::send_data(packet p) {
-    sched_->schedule_in(access_delay_, [this, p] { path_->inject_forward(link_index_, p); });
-}
+void shared_link_conduit::send_data(packet p) { access_.push(p); }
 
-void shared_link_conduit::send_ack(packet p) {
-    sched_->schedule_in(ack_delay_, [this, p] {
-        if (ack_handler_) ack_handler_(p);
-    });
-}
+void shared_link_conduit::send_ack(packet p) { acks_.push(p); }
 
 void shared_link_conduit::on_deliver_data(flow_id, delivery_handler h) {
     data_handler_ = std::move(h);

@@ -13,6 +13,7 @@
 #include "core/units.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/scheduler.hpp"
 
 namespace tcppred::net {
@@ -169,6 +170,37 @@ private:
     duplex_path* path_;
 };
 
+/// A fixed-delay packet FIFO: every pushed packet reaches `out` exactly
+/// `delay_s` later, in push order. One event stream (DESIGN.md §13.7).
+class delay_line final : public sim::event_stream {
+public:
+    delay_line(sim::scheduler& sched, double delay_s, delivery_handler out)
+        : sim::event_stream(sched), delay_(delay_s), out_(std::move(out)) {}
+
+    [[nodiscard]] double delay_s() const noexcept { return delay_; }
+
+    void push(const packet& p) {
+        ring_.push_back({admit_in(delay_), p});
+        if (ring_.size() == 1) set_head(ring_.front().key);
+    }
+
+private:
+    void fire_head() override {
+        const packet p = ring_.pop_front().value;
+        release();
+        if (ring_.empty()) {
+            clear_head();
+        } else {
+            set_head(ring_.front().key);
+        }
+        out_(p);
+    }
+
+    double delay_;
+    delivery_handler out_;
+    sim::ring<sim::keyed<packet>> ring_;
+};
+
 /// Conduit for an elastic cross flow that shares exactly one forward link of
 /// the path. Data packets wait `access_delay` (the flow's private path up to
 /// the shared queue), transit the shared link, then wait `egress_delay`
@@ -186,19 +218,18 @@ public:
     void on_deliver_ack(flow_id flow, delivery_handler h) override;
 
     [[nodiscard]] core::seconds round_trip_floor() const noexcept {
-        return core::seconds{access_delay_ + egress_delay_ + ack_delay_};
+        return core::seconds{access_.delay_s() + egress_.delay_s() + acks_.delay_s()};
     }
 
 private:
-    sim::scheduler* sched_;
     duplex_path* path_;
     std::size_t link_index_;
     flow_id flow_;
-    double access_delay_;
-    double egress_delay_;
-    double ack_delay_;
     delivery_handler data_handler_;
     delivery_handler ack_handler_;
+    delay_line access_;  ///< sender -> shared link
+    delay_line egress_;  ///< shared link exit -> receiver
+    delay_line acks_;    ///< receiver -> sender, uncongested
 };
 
 }  // namespace tcppred::net

@@ -22,7 +22,18 @@ constexpr double k_max_bucket_key = 0x1p62;
 
 scheduler::scheduler() : buckets_(k_min_buckets, nullptr), bucket_mask_(k_min_buckets - 1) {}
 
-scheduler::~scheduler() = default;
+scheduler::~scheduler() {
+    // Streams that outlive their scheduler must not reach back into it.
+    for (const stream_slot& slot : streams_) {
+        slot.stream->slot_ = event_stream::k_idle;
+        slot.stream->entries_ = 0;
+    }
+}
+
+event_stream::~event_stream() {
+    if (slot_ != k_idle) sched_->drop_stream(slot_);
+    if (entries_ != 0) sched_->stream_entries_ -= entries_;
+}
 
 std::int64_t scheduler::bucket_key(time_point t) const noexcept {
     return static_cast<std::int64_t>(std::min(t * inv_width_, k_max_bucket_key));
@@ -68,12 +79,19 @@ void scheduler::insert_node(event_node* n) {
         cur_ = static_cast<std::size_t>(vb) & bucket_mask_;
     }
     // Sorted insertion by (when, id): FIFO among simultaneous events. Dead
-    // nodes (id == 0) order as "smaller" at equal times, which leaves the
-    // relative order of live nodes untouched.
+    // (cancelled) nodes the walk passes are reclaimed on the way, so wide
+    // buckets under schedule/cancel churn (delayed-ACK timers) stay short.
     event_node** p = &buckets_[static_cast<std::size_t>(vb) & bucket_mask_];
-    while (*p != nullptr &&
-           ((*p)->when < n->when || ((*p)->when == n->when && (*p)->id < n->id))) {
-        p = &(*p)->next;
+    while (*p != nullptr) {
+        event_node* q = *p;
+        if (q->id == 0) {
+            *p = q->next;
+            --dead_;
+            free_node(q);
+            continue;
+        }
+        if (!(q->when < n->when || (q->when == n->when && q->id < n->id))) break;
+        p = &q->next;
     }
     n->next = *p;
     *p = n;
@@ -84,6 +102,7 @@ event_handle scheduler::enqueue(event_node* n, time_point when) {
     n->id = next_id_++;
     n->vbucket = bucket_key(when);
     insert_node(n);
+    cal_min_known_ = false;
     ++live_;
     if (live_ > buckets_.size() * 2) rebucket(buckets_.size() * 2);
     return event_handle{n->id, n};
@@ -93,6 +112,7 @@ void scheduler::cancel(event_handle h) {
     if (!h.valid() || h.node == nullptr) return;
     auto* n = static_cast<event_node*>(h.node);
     if (n->id != h.id) return;  // already fired, cancelled, or slot reused
+    if (n == cal_min_) cal_min_known_ = false;
     n->id = 0;
     n->cb.reset();
     TCPPRED_ASSERT(live_ > 0);
@@ -135,8 +155,16 @@ const scheduler::event_node* scheduler::peek_min() {
         cur_ = (cur_ + 1) & bucket_mask_;
         if (++scanned > buckets_.size()) {
             // A full sweep found nothing in the current "year": the queue is
-            // sparse relative to its horizon. Jump straight to the bucket
-            // holding the global minimum instead of sweeping year by year.
+            // sparse relative to its horizon. When the dequeue gaps call for
+            // buckets more than twice as wide, re-derive the width (event
+            // streams leave the calendar only sparse timers) and sweep again;
+            // otherwise jump straight to the bucket holding the global
+            // minimum instead of sweeping year by year.
+            if (gap_ema_ * k_width_gap_factor * inv_width_ > 2.0) {
+                rebucket(buckets_.size());
+                scanned = 0;
+                continue;
+            }
             const event_node* best = nullptr;
             for (event_node* b : buckets_) {
                 event_node* n = b;
@@ -156,10 +184,11 @@ const scheduler::event_node* scheduler::peek_min() {
 }
 
 scheduler::event_node* scheduler::pop_head() {
-    // Precondition: peek_min() just returned non-null, which leaves the
+    // Precondition: calendar_min() just returned non-null, which leaves the
     // cursor on the bucket whose head is the global minimum live event.
     event_node* h = buckets_[cur_];
     buckets_[cur_] = h->next;
+    cal_min_known_ = false;
     h->next = nullptr;
     --live_;
     const double gap = h->when - last_dequeued_;
@@ -224,17 +253,43 @@ void scheduler::fire(event_node* n) {
     n->cb.invoke_and_reset();
 }
 
+bool scheduler::stream_first(const event_node* c) const noexcept {
+    return !streams_.empty() &&
+           (c == nullptr || streams_.back().head < event_key{c->when, c->id});
+}
+
+void scheduler::fire_stream() {
+    const stream_slot& front = streams_.back();
+    // Same clock discipline as fire(): admit_in() validated the time, so a
+    // violation here means the merge order broke.
+    TCPPRED_ASSERT(front.head.when >= now_);
+    now_ = front.head.when;
+    ++fired_;
+    front.stream->fire_head();
+}
+
 bool scheduler::step() {
-    if (peek_min() == nullptr) return false;
-    fire(pop_head());
+    const event_node* c = calendar_min();
+    if (stream_first(c)) {
+        fire_stream();
+    } else if (c != nullptr) {
+        fire(pop_head());
+    } else {
+        return false;
+    }
     return true;
 }
 
 void scheduler::run_until(time_point t_end) {
     for (;;) {
-        const event_node* head = peek_min();
-        if (head == nullptr || head->when > t_end) break;
-        fire(pop_head());
+        const event_node* c = calendar_min();
+        if (stream_first(c)) {
+            if (streams_.back().head.when > t_end) break;
+            fire_stream();
+        } else {
+            if (c == nullptr || c->when > t_end) break;
+            fire(pop_head());
+        }
     }
     if (now_ < t_end) now_ = t_end;
 }

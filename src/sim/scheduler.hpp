@@ -4,8 +4,10 @@
 // Implementation: a calendar queue (Brown 1988) over pool-allocated event
 // nodes whose callbacks are constructed and invoked in place in inline
 // small-buffer storage (sim/callback.hpp) — the steady-state schedule/fire
-// cycle performs no heap allocation and never moves a callback. Design and
-// contracts: DESIGN.md §13.
+// cycle performs no heap allocation and never moves a callback. Components
+// whose events are already in dispatch order (links, open-loop sources)
+// bypass the calendar as event streams, merged with it by (when, id).
+// Design and contracts: DESIGN.md §13.
 #pragma once
 
 #include <cmath>
@@ -21,6 +23,67 @@ namespace tcppred::sim {
 
 /// Simulated time in seconds since the start of the simulation.
 using time_point = double;
+
+/// Dispatch-order key of a pending event: events fire by ascending
+/// (when, id) (DESIGN.md §13.2). Ids are unique, so keys never tie.
+struct event_key {
+    time_point when{0.0};
+    std::uint64_t id{0};
+
+    friend bool operator<(const event_key& a, const event_key& b) noexcept {
+        return a.when < b.when || (a.when == b.when && a.id < b.id);
+    }
+};
+
+class scheduler;
+
+/// A component that keeps its own pending events because they are already
+/// in (when, id) order — a FIFO of fixed-delay deliveries, a single pending
+/// arrival — and shows the scheduler only its head (DESIGN.md §13.7).
+///
+/// The component takes each event's key from admit_in() at the moment it
+/// would otherwise have called schedule_in(), and publishes its earliest
+/// pending key with set_head() (or clear_head() when it has none) after
+/// every change. The scheduler merges stream heads with the calendar by
+/// key, so firing order, every now() and fired() are exactly those of the
+/// same events on the calendar. When its head fires, fire_head() runs with
+/// now() already advanced; it must release() the entry and re-publish the
+/// head before running any handler, so a throwing handler leaves the
+/// scheduler usable. Stream events cannot be cancelled. A stream detaches
+/// in its destructor, dropping whatever it still holds.
+class event_stream {
+public:
+    event_stream(const event_stream&) = delete;
+    event_stream& operator=(const event_stream&) = delete;
+
+protected:
+    explicit event_stream(scheduler& sched) noexcept : sched_(&sched) {}
+    ~event_stream();
+
+    [[nodiscard]] scheduler& sched() const noexcept { return *sched_; }
+    /// True while a head is published (the stream holds pending entries).
+    [[nodiscard]] bool has_head() const noexcept { return slot_ != k_idle; }
+    /// Key of an event `delay` seconds from now (delay >= 0, finite; throws
+    /// std::invalid_argument otherwise, like schedule_in), counted pending.
+    [[nodiscard]] event_key admit_in(time_point delay);
+    /// One admitted entry left the stream: it is firing now.
+    void release() noexcept;
+    /// Publish the earliest pending entry's key; it may move either way.
+    void set_head(event_key head);
+    /// Publish that the stream holds no pending entry.
+    void clear_head() noexcept;
+
+private:
+    friend class scheduler;
+    static constexpr std::size_t k_idle = static_cast<std::size_t>(-1);
+
+    /// Fire the published head entry; now() is already its `when`.
+    virtual void fire_head() = 0;
+
+    scheduler* sched_;
+    std::size_t slot_{k_idle};  ///< index in scheduler::streams_, k_idle if headless
+    std::size_t entries_{0};    ///< admitted, not yet released
+};
 
 /// Opaque handle for a scheduled event, usable to cancel it before it fires.
 /// A handle never dangles: cancelling after the event fired (or was itself
@@ -42,6 +105,8 @@ struct event_handle {
 ///   - events scheduled for the same instant fire in the order they were
 ///     scheduled (FIFO tie-breaking, by monotonically increasing event id),
 ///     which keeps packet-level simulations deterministic.
+/// Event-stream heads (above) take part in the same order: a stream event
+/// fires exactly where its key puts it among calendar events.
 ///
 /// Callbacks are constructed directly in their pooled event node and invoked
 /// there; they never move. While a callback runs, its own handle is already
@@ -51,8 +116,9 @@ struct event_handle {
 /// Cancellation is O(1): `cancel()` marks the node dead and destroys its
 /// callback immediately; the node itself is reclaimed when the queue next
 /// walks past it (or on rebucketing). `pending()` counts such dead-but-not-
-/// yet-reclaimed events, exactly as the previous heap-based implementation
-/// counted cancelled-but-not-yet-popped entries.
+/// yet-reclaimed events, as the previous heap-based implementation counted
+/// cancelled-but-not-yet-popped entries; all are discarded once no live
+/// event remains.
 class scheduler {
 public:
     scheduler();
@@ -103,14 +169,18 @@ public:
     /// Run until no events remain.
     void run_all();
 
-    /// Number of events currently pending (including cancelled-but-not-yet
-    /// reclaimed ones).
-    [[nodiscard]] std::size_t pending() const noexcept { return live_ + dead_; }
+    /// Number of events currently pending: calendar events (including
+    /// cancelled-but-not-yet reclaimed ones) plus event-stream entries.
+    [[nodiscard]] std::size_t pending() const noexcept {
+        return live_ + dead_ + stream_entries_;
+    }
 
     /// Total number of events fired so far (diagnostics / micro-benchmarks).
     [[nodiscard]] std::uint64_t fired() const noexcept { return fired_; }
 
 private:
+    friend class event_stream;
+
     /// Pool-allocated intrusive event node. Nodes never move once allocated;
     /// buckets chain them through `next`. A dead (cancelled) node keeps its
     /// queue position but has id == 0 and an empty callback.
@@ -132,9 +202,24 @@ private:
     event_handle enqueue(event_node* n, time_point when);
     void insert_node(event_node* n);
     [[nodiscard]] const event_node* peek_min();
+    /// peek_min(), remembered until the calendar next changes, so the many
+    /// stream events that touch no calendar event skip the bucket scan.
+    [[nodiscard]] const event_node* calendar_min() {
+        if (!cal_min_known_) {
+            cal_min_ = peek_min();
+            cal_min_known_ = true;
+        }
+        return cal_min_;
+    }
     [[nodiscard]] event_node* pop_head();
     void fire(event_node* n);
+    /// True when the earliest stream head precedes the calendar minimum `c`
+    /// (null: the calendar is empty).
+    [[nodiscard]] bool stream_first(const event_node* c) const noexcept;
+    void fire_stream();
     void rebucket(std::size_t new_bucket_count);
+    void move_stream(std::size_t i, event_key head) noexcept;
+    void drop_stream(std::size_t i) noexcept;
     void purge_all_dead() noexcept;
     /// Virtual bucket of an event time: floor(t / width), by truncation
     /// since t >= 0, saturated so far-future times stay representable.
@@ -153,14 +238,82 @@ private:
     /// mean gap keeps ~1 live event per bucket).
     double gap_ema_{0.0};
     double last_dequeued_{0.0};
+    const event_node* cal_min_{nullptr};  ///< calendar_min() cache
+    bool cal_min_known_{false};
 
     // --- node pool ---
     std::vector<std::unique_ptr<event_node[]>> chunks_;
     event_node* free_list_{nullptr};
 
+    // --- event streams ---
+    /// Headed streams, sorted by descending head key: back() fires next.
+    struct stream_slot {
+        event_key head;
+        event_stream* stream;
+    };
+    std::vector<stream_slot> streams_;
+    std::size_t stream_entries_{0};  ///< admitted, unreleased stream entries
+
     time_point now_{0.0};
     std::uint64_t next_id_{1};
     std::uint64_t fired_{0};
 };
+
+inline event_key event_stream::admit_in(time_point delay) {
+    scheduler& s = *sched_;
+    time_point when = s.now_ + delay;
+    if (!(when >= s.now_ && std::isfinite(when))) [[unlikely]] when = s.admit_time(when);
+    ++entries_;
+    ++s.stream_entries_;
+    return event_key{when, s.next_id_++};
+}
+
+inline void event_stream::release() noexcept {
+    --entries_;
+    --sched_->stream_entries_;
+}
+
+inline void event_stream::set_head(event_key head) {
+    scheduler& s = *sched_;
+    if (slot_ == k_idle) {
+        s.streams_.push_back(scheduler::stream_slot{head, this});
+        slot_ = s.streams_.size() - 1;
+    }
+    s.move_stream(slot_, head);
+}
+
+inline void event_stream::clear_head() noexcept {
+    if (slot_ == k_idle) return;
+    sched_->drop_stream(slot_);
+    slot_ = k_idle;
+}
+
+inline void scheduler::move_stream(std::size_t i, event_key head) noexcept {
+    // Incremental insertion-sort step: the head moved later (toward the
+    // front of the descending array) or earlier (toward the back).
+    stream_slot* a = streams_.data();
+    event_stream* const st = a[i].stream;
+    while (i > 0 && a[i - 1].head < head) {
+        a[i] = a[i - 1];
+        a[i].stream->slot_ = i;
+        --i;
+    }
+    const std::size_t n = streams_.size();
+    while (i + 1 < n && head < a[i + 1].head) {
+        a[i] = a[i + 1];
+        a[i].stream->slot_ = i;
+        ++i;
+    }
+    a[i] = stream_slot{head, st};
+    st->slot_ = i;
+}
+
+inline void scheduler::drop_stream(std::size_t i) noexcept {
+    for (std::size_t j = i + 1; j < streams_.size(); ++j) {
+        streams_[j - 1] = streams_[j];
+        streams_[j - 1].stream->slot_ = j - 1;
+    }
+    streams_.pop_back();
+}
 
 }  // namespace tcppred::sim

@@ -63,6 +63,9 @@ tcp_sender::seg_meta& tcp_sender::meta(std::uint64_t seq) {
 }
 
 void tcp_sender::metas_pop_front(std::size_t n) {
+    for (std::size_t i = metas_head_; i < metas_head_ + n && sacked_ > 0; ++i) {
+        sacked_ -= metas_[i].sacked ? 1 : 0;
+    }
     metas_head_ += n;
     TCPPRED_ASSERT(metas_head_ <= metas_.size());
     if (metas_head_ == metas_.size()) {
@@ -143,17 +146,10 @@ void tcp_sender::apply_sack_block(std::uint64_t begin, std::uint64_t end) {
         seg_meta& m = meta(seq);
         if (!m.sacked) {
             m.sacked = true;
+            ++sacked_;
             highest_sacked_ = std::max(highest_sacked_, seq + 1);
         }
     }
-}
-
-std::uint64_t tcp_sender::sacked_count() const noexcept {
-    std::uint64_t n = 0;
-    for (std::size_t i = metas_head_; i < metas_.size(); ++i) {
-        n += metas_[i].sacked ? 1 : 0;
-    }
-    return n;
 }
 
 void tcp_sender::sack_send_during_recovery() {
@@ -162,7 +158,7 @@ void tcp_sender::sack_send_during_recovery() {
     // (unSACKed below the highest SACKed seq, not yet retransmitted this
     // recovery episode), then with new data.
     for (;;) {
-        const std::uint64_t pipe = flight() - sacked_count();
+        const std::uint64_t pipe = flight() - sacked_;
         if (pipe >= usable_window()) return;
         bool sent = false;
         for (std::uint64_t seq = snd_una_; seq < highest_sacked_ && seq < next_seq_;

@@ -117,7 +117,6 @@ private:
     void enter_fast_recovery();
     void apply_sack_block(std::uint64_t begin, std::uint64_t end);
     void sack_send_during_recovery();
-    [[nodiscard]] std::uint64_t sacked_count() const noexcept;
     void on_new_ack(std::uint64_t ack, std::uint64_t newly);
     void update_rtt(double sample);
     void arm_rto(double timeout_s);
@@ -133,6 +132,7 @@ private:
     void metas_clear() noexcept {
         metas_.clear();
         metas_head_ = 0;
+        sacked_ = 0;
     }
 
     sim::scheduler* sched_;
@@ -151,6 +151,9 @@ private:
     /// the per-ACK path never shifts elements or frees memory.
     std::vector<seg_meta> metas_;
     std::size_t metas_head_{0};
+    /// Live metadata entries with `sacked` set, kept in step with metas_ so
+    /// the recovery pipe estimate never rescans the window.
+    std::uint64_t sacked_{0};
 
     double cwnd_{1.0};           ///< congestion window, segments (fractional in CA)
     double ssthresh_;

@@ -303,6 +303,11 @@ check_exit "bench_report.sh into a nonexistent --out-dir" 0 $?
 for f in BENCH_scheduler.json BENCH_campaign.json BENCH_record_store.json BENCH_serve.json; do
     [ -s "$WORK/fresh/perf/$f" ] || { echo "FAIL: bench_report.sh did not write $f"; FAILURES=$((FAILURES+1)); }
 done
+# The perf-smoke gate accepts what bench_report.sh writes (repeated
+# campaign runs summarized as median/min/max).
+python3 "$SRC_DIR/tools/check_bench_regression.py" "$WORK/fresh/perf" "$WORK/fresh/perf" \
+    >/dev/null 2>"$WORK/bench_gate.err"
+check_exit "check_bench_regression.py on a fresh bench_report.sh output" 0 $?
 
 if [ "$FAILURES" -ne 0 ]; then
     echo "$FAILURES CLI contract check(s) failed"

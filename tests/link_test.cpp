@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace tcppred::net {
@@ -90,6 +91,30 @@ TEST(link, propagation_does_not_serialize) {
     s.run_all();
     ASSERT_EQ(arrivals.size(), 2u);
     EXPECT_NEAR(arrivals[1] - arrivals[0], 0.001, 1e-12);
+}
+
+TEST(link, transmission_completing_before_the_wire_front_fires_first) {
+    // A long wire: the first packet is still propagating when a second one
+    // reaches the idle link and finishes serializing. The link's earliest
+    // pending event moves earlier (DESIGN.md §13.7), and a calendar event
+    // between the two must still fire in time order.
+    sim::scheduler s;
+    link l(s, 8e6, 1.0, 10);  // 1000 bytes = 1 ms tx, 1 s on the wire
+    std::vector<std::pair<std::uint64_t, double>> arrivals;
+    std::vector<std::size_t> lengths;
+    l.set_sink([&](packet p) { arrivals.emplace_back(p.seq, s.now()); });
+    l.enqueue(make_packet(1000, 1));
+    s.schedule_at(0.5, [&] { l.enqueue(make_packet(1000, 2)); });
+    s.schedule_at(0.5005, [&] { lengths.push_back(l.queue_length()); });
+    s.schedule_at(0.502, [&] { lengths.push_back(l.queue_length()); });
+    s.run_all();
+    ASSERT_EQ(arrivals.size(), 2u);
+    EXPECT_EQ(arrivals[0].first, 1u);
+    EXPECT_NEAR(arrivals[0].second, 1.001, 1e-12);
+    EXPECT_EQ(arrivals[1].first, 2u);
+    EXPECT_NEAR(arrivals[1].second, 1.501, 1e-12);
+    EXPECT_EQ(lengths, (std::vector<std::size_t>{1, 0}));  // serializing, then done
+    EXPECT_EQ(s.fired(), 2u * 2u + 3u);  // two events per packet, three scheduled
 }
 
 TEST(link, utilization_tracks_busy_fraction) {

@@ -166,6 +166,31 @@ TEST(cross_traffic, pareto_mean_rate_approximates_target) {
     EXPECT_LT(rate, 4.0e6);
 }
 
+TEST(cross_traffic, restart_before_the_pending_event_resumes_one_chain) {
+    // stop() leaves the pending arrival (or on/off cycle event) in place to
+    // fire as a no-op; a start() before it fires resumes that chain rather
+    // than adding a second one, so the offered load stays at the rate set.
+    world w(100e6, 0.010, 512);
+    net::poisson_source poisson(w.sched, *w.path, 0, 5, 11, 5e6);
+    net::pareto_onoff_source onoff(w.sched, *w.path, 0, 6, 12, net::pareto_onoff_config{});
+    onoff.set_mean_rate(2e6);
+    std::uint64_t bytes = 0;
+    w.path->on_cross_exit(5, [&](net::packet p) { bytes += p.size_bytes; });
+    poisson.start();
+    onoff.start();
+    for (int i = 1; i <= 200; ++i) {
+        w.sched.run_until(0.25 * i);
+        const std::size_t pending = w.sched.pending();
+        poisson.stop();
+        onoff.stop();
+        poisson.start();
+        onoff.start();
+        EXPECT_EQ(w.sched.pending(), pending) << "restart " << i;
+    }
+    const double rate = static_cast<double>(bytes) * 8.0 / 50.0;
+    EXPECT_NEAR(rate, 5e6, 0.6e6);
+}
+
 TEST(cross_traffic, zero_rate_pareto_source_falls_silent) {
     // A path without a bursty share gives its on/off sources a zero mean
     // rate: the first burst emits one packet, then the source stops for good

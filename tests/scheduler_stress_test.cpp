@@ -4,14 +4,23 @@
 // dispatch contract (DESIGN.md §13.2) — strictly by (when, id), FIFO among
 // simultaneous events, cancellation a safe no-op at any time — which is
 // exactly the property that makes campaign CSVs byte-identical across
-// scheduler implementations.
+// scheduler implementations. The reference also models event streams
+// (§13.7): their entries are ordinary (when, id) entries that are never
+// cancelled, so a stream event must fire exactly where the same event on
+// the calendar would have.
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 namespace tcppred::sim {
@@ -65,6 +74,147 @@ private:
     };
     std::vector<entry> entries_;
 };
+
+/// A stream shaped like a link: a FIFO whose keys are admitted in order,
+/// plus one slot that may hold a key anywhere relative to the FIFO (a
+/// transmission completing before the wire's front). Its head therefore
+/// moves later when an entry fires and earlier when the slot fills.
+class slotted_fifo final : public event_stream {
+public:
+    slotted_fifo(scheduler& s, std::vector<std::uint64_t>& log, std::function<void()> on_fire)
+        : event_stream(s), log_(&log), on_fire_(std::move(on_fire)) {}
+
+    [[nodiscard]] double back_when() const {
+        return fifo_.empty() ? sched().now() : fifo_.back().when;
+    }
+    [[nodiscard]] bool slot_free() const { return !slot_.has_value(); }
+
+    /// Admit a FIFO entry `delay` from now; the caller keeps FIFO order.
+    event_key push(double delay) {
+        fifo_.push_back(admit_in(delay));
+        publish();
+        return fifo_.back();
+    }
+
+    /// Fill the slot `delay` from now. Precondition: slot_free().
+    event_key fill_slot(double delay) {
+        slot_ = admit_in(delay);
+        publish();
+        return *slot_;
+    }
+
+private:
+    void publish() {
+        if (slot_ && (fifo_.empty() || *slot_ < fifo_.front())) {
+            set_head(*slot_);
+        } else if (!fifo_.empty()) {
+            set_head(fifo_.front());
+        } else {
+            clear_head();
+        }
+    }
+
+    void fire_head() override {
+        event_key k;
+        if (slot_ && (fifo_.empty() || *slot_ < fifo_.front())) {
+            k = *slot_;
+            slot_.reset();
+        } else {
+            k = fifo_.front();
+            fifo_.pop_front();
+        }
+        release();
+        publish();
+        EXPECT_EQ(k.when, sched().now());
+        log_->push_back(k.id);
+        on_fire_();
+    }
+
+    std::vector<std::uint64_t>* log_;
+    std::function<void()> on_fire_;
+    std::deque<event_key> fifo_;
+    std::optional<event_key> slot_;
+};
+
+TEST(scheduler_stress, streams_merge_with_calendar_like_reference) {
+    // Every time is a multiple of 2^-20 s below 2^20 s, so now() + delay is
+    // exact: FIFO pushes can land exactly on the back's `when`, and stream
+    // heads exactly on calendar events' and other heads' times. A coarse
+    // grid makes such ties common.
+    std::mt19937_64 gen(20051005);
+    std::uniform_real_distribution<double> u01(0.0, 1.0);
+    const auto draw_delay = [&] {
+        if (u01(gen) < 0.5) return std::ldexp(static_cast<double>(gen() % 8), -4);  // ties
+        return std::ldexp(static_cast<double>(gen() % (1u << 22)), -20);  // up to 4 s
+    };
+
+    scheduler s;
+    reference_queue ref;
+    std::vector<std::uint64_t> real_order;
+    std::vector<event_handle> handles;
+    std::vector<std::unique_ptr<slotted_fifo>> streams;
+
+    // One random scheduling operation, mirrored into the reference. Also
+    // run from inside firing handlers, so streams are re-entered mid-fire.
+    std::function<void()> random_op = [&] {
+        const double dice = u01(gen);
+        if (dice < 0.3) {
+            const double when = s.now() + draw_delay();
+            const event_handle h =
+                s.schedule_at(when, [&real_order, &handles, slot = handles.size()] {
+                    real_order.push_back(handles[slot].id);
+                });
+            handles.push_back(h);
+            ref.schedule(when, h.id);
+        } else if (dice < 0.4 && !handles.empty()) {
+            const event_handle h = handles[gen() % handles.size()];
+            ref.cancel(h.id);
+            s.cancel(h);
+        } else {
+            slotted_fifo& st = *streams[gen() % streams.size()];
+            if (dice < 0.55 && st.slot_free()) {
+                const event_key k = st.fill_slot(draw_delay());
+                ref.schedule(k.when, k.id);
+            } else {
+                // Keep FIFO order: never earlier than the current back.
+                const double delay = std::max(draw_delay(), st.back_when() - s.now());
+                const event_key k = st.push(delay);
+                ref.schedule(k.when, k.id);
+            }
+        }
+    };
+    const auto on_fire = [&] {
+        if (u01(gen) < 0.3) random_op();
+    };
+    for (int i = 0; i < 6; ++i) {
+        streams.push_back(std::make_unique<slotted_fifo>(s, real_order, on_fire));
+    }
+
+    std::vector<std::uint64_t> ref_order;
+    constexpr int k_ops = 40000;
+    for (int i = 0; i < k_ops; ++i) {
+        if (u01(gen) < 0.55 || ref.live() == 0) {
+            random_op();
+        } else {
+            const std::uint64_t want = ref.pop_min();
+            ref_order.push_back(want);
+            ASSERT_TRUE(s.step());
+            // pending() counts stream entries and calendar events alike; the
+            // reference lags only by cancelled husks the calendar keeps.
+            EXPECT_GE(s.pending(), ref.live());
+        }
+    }
+    // Drain in lockstep: handlers keep scheduling (and cancelling) while
+    // the queues empty, and the streams refill after emptying.
+    for (std::uint64_t want = ref.pop_min(); want != 0; want = ref.pop_min()) {
+        ref_order.push_back(want);
+        ASSERT_TRUE(s.step());
+    }
+    EXPECT_FALSE(s.step());
+    EXPECT_EQ(real_order, ref_order);
+    EXPECT_EQ(s.pending(), 0u);
+    EXPECT_EQ(s.fired(), real_order.size());
+}
 
 TEST(scheduler_stress, randomized_firing_order_matches_reference) {
     // Mixed continuous and grid-quantized times: the grid forces many exact

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 
 namespace tcppred::sim {
 namespace {
@@ -195,6 +196,148 @@ TEST(scheduler, throwing_callback_leaves_scheduler_usable) {
     s.run_all();
     EXPECT_EQ(order, (std::vector<int>{2, 25, 3}));
     EXPECT_EQ(s.pending(), 0u);
+}
+
+/// Minimal event stream: a fixed-delay FIFO whose entries run `on_fire`
+/// with their admission index.
+class fifo_stream final : public event_stream {
+public:
+    fifo_stream(scheduler& s, std::function<void(int)> on_fire)
+        : event_stream(s), on_fire_(std::move(on_fire)) {}
+
+    void push_in(double delay) {
+        ring_.push_back({admit_in(delay), next_++});
+        if (ring_.size() == 1) set_head(ring_.front().key);
+    }
+
+    [[nodiscard]] std::size_t size() const { return ring_.size(); }
+
+private:
+    void fire_head() override {
+        const int v = ring_.pop_front().value;
+        release();
+        if (ring_.empty()) {
+            clear_head();
+        } else {
+            set_head(ring_.front().key);
+        }
+        on_fire_(v);
+    }
+
+    std::function<void(int)> on_fire_;
+    ring<keyed<int>> ring_;
+    int next_{0};
+};
+
+TEST(scheduler_streams, interleave_with_calendar_by_key) {
+    scheduler s;
+    std::vector<int> order;
+    fifo_stream st(s, [&](int v) { order.push_back(100 + v); });
+    s.schedule_at(1.0, [&] { order.push_back(1); });
+    st.push_in(1.0);  // same instant, admitted later: fires after the event
+    s.schedule_at(0.5, [&] { order.push_back(0); });
+    st.push_in(2.0);
+    s.schedule_at(2.0, [&] { order.push_back(2); });  // admitted after the entry
+    s.run_all();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 100, 101, 2}));
+    EXPECT_EQ(s.fired(), 5u);
+    EXPECT_DOUBLE_EQ(s.now(), 2.0);
+}
+
+TEST(scheduler_streams, pending_counts_stream_entries) {
+    scheduler s;
+    fifo_stream st(s, [](int) {});
+    st.push_in(1.0);
+    st.push_in(2.0);
+    s.schedule_at(1.5, [] {});
+    EXPECT_EQ(s.pending(), 3u);
+    EXPECT_TRUE(s.step());
+    EXPECT_EQ(s.pending(), 2u);
+    s.run_all();
+    EXPECT_EQ(s.pending(), 0u);
+    // An emptied stream refills and is merged again.
+    st.push_in(0.25);
+    EXPECT_EQ(s.pending(), 1u);
+    EXPECT_TRUE(s.step());
+    EXPECT_DOUBLE_EQ(s.now(), 2.25);
+    EXPECT_FALSE(s.step());
+}
+
+TEST(scheduler_streams, throwing_handler_leaves_scheduler_usable) {
+    scheduler s;
+    std::vector<int> order;
+    fifo_stream st(s, [&](int v) {
+        if (v == 0) throw std::runtime_error("boom");
+        order.push_back(v);
+    });
+    st.push_in(1.0);
+    st.push_in(3.0);
+    s.schedule_at(2.0, [&] { order.push_back(-2); });
+    EXPECT_THROW(s.run_all(), std::runtime_error);
+    // The throwing entry left the stream before its handler ran: it counts
+    // as fired, is not pending, and the rest fire in order.
+    EXPECT_DOUBLE_EQ(s.now(), 1.0);
+    EXPECT_EQ(s.fired(), 1u);
+    EXPECT_EQ(s.pending(), 2u);
+    EXPECT_EQ(st.size(), 1u);
+    s.run_all();
+    EXPECT_EQ(order, (std::vector<int>{-2, 1}));
+    EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(scheduler_streams, run_until_stops_at_stream_head_past_horizon) {
+    scheduler s;
+    int fired = 0;
+    fifo_stream st(s, [&](int) { ++fired; });
+    st.push_in(1.0);
+    st.push_in(5.0);
+    s.schedule_at(2.0, [&] { ++fired; });
+    s.run_until(3.0);
+    EXPECT_EQ(fired, 2);
+    EXPECT_DOUBLE_EQ(s.now(), 3.0);
+    EXPECT_EQ(s.pending(), 1u);
+    // Nothing on the calendar: the stream head alone bounds the run.
+    s.run_until(4.0);
+    EXPECT_EQ(fired, 2);
+    EXPECT_DOUBLE_EQ(s.now(), 4.0);
+    s.run_until(5.0);  // inclusive, like calendar events
+    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(scheduler_streams, detaching_a_non_empty_stream_drops_its_entries) {
+    scheduler s;
+    int fired = 0;
+    auto st = std::make_unique<fifo_stream>(s, [&](int) { ++fired; });
+    fifo_stream other(s, [&](int) { ++fired; });
+    st->push_in(1.0);
+    st->push_in(2.0);
+    other.push_in(1.5);
+    s.schedule_at(3.0, [&] { ++fired; });
+    EXPECT_EQ(s.pending(), 4u);
+    st.reset();
+    EXPECT_EQ(s.pending(), 2u);
+    s.run_all();
+    EXPECT_EQ(fired, 2);
+    EXPECT_DOUBLE_EQ(s.now(), 3.0);
+}
+
+TEST(scheduler_streams, stream_may_outlive_its_scheduler) {
+    auto s = std::make_unique<scheduler>();
+    fifo_stream st(*s, [](int) {});
+    st.push_in(1.0);
+    s.reset();  // the stream's destructor must not reach the dead scheduler
+    SUCCEED();
+}
+
+TEST(scheduler_streams, rejects_non_finite_delays) {
+    scheduler s;
+    fifo_stream st(s, [](int) {});
+    EXPECT_THROW(st.push_in(std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
+    EXPECT_THROW(st.push_in(-1.0), std::invalid_argument);
+    EXPECT_EQ(s.pending(), 0u);
+    EXPECT_FALSE(s.step());
 }
 
 TEST(scheduler, packet_capture_fits_inline) {

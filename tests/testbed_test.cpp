@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <utility>
 
 #include "core/checked_parse.hpp"
 #include "core/units.hpp"
+#include "net/cross_traffic.hpp"
+#include "sim/rng.hpp"
 #include "testbed/campaign.hpp"
 #include "testbed/epoch_runner.hpp"
 #include "testbed/load_process.hpp"
@@ -179,6 +183,53 @@ TEST_F(epoch_fixture, prefix_checkpoints_recorded_for_campaign2_plan) {
     EXPECT_DOUBLE_EQ(m.prefix_goodputs[0].first, 1.0);
     EXPECT_GT(m.prefix_goodputs[2].second, 0.0);
     EXPECT_DOUBLE_EQ(m.r_small_bps, 0.0);
+}
+
+/// Exact event count and final simulated time of whole campaign epochs: the
+/// first epoch of the first catalogue path of each class, at the campaign-1
+/// seed, with the seed and load the campaign derives, under both cross
+/// models. Any scheduler or component change that alters which events fire
+/// (not just their order) moves these numbers; the per-epoch `events` count
+/// is also the benchmark's canary, which this pins in tier 1.
+struct epoch_pin {
+    path_class klass;
+    net::cross_model model;
+    std::uint64_t events;
+    double sim_time_s;
+};
+
+TEST(epoch_pins, event_count_and_sim_time_are_exact) {
+    const epoch_pin pins[] = {
+        {path_class::dsl, net::cross_model::packet, 44107, 0x1.fc53b6f736c8cp+4},
+        {path_class::us_university, net::cross_model::packet, 88096, 0x1.ef86d8034a0edp+4},
+        {path_class::transatlantic, net::cross_model::packet, 139912, 0x1.fde2ba5bbd302p+4},
+        {path_class::transpacific, net::cross_model::packet, 71066, 0x1.f1d8e4802ea8p+4},
+        {path_class::dsl, net::cross_model::fluid, 33580, 0x1.fa8f2262513e4p+4},
+        {path_class::us_university, net::cross_model::fluid, 55853, 0x1.ed8f9f3bf6ab6p+4},
+        {path_class::transatlantic, net::cross_model::fluid, 34739, 0x1.fdf37d28d9b8bp+4},
+        {path_class::transpacific, net::cross_model::fluid, 37493, 0x1.f1d8e4802ea8p+4},
+    };
+    campaign_config cfg = campaign1_config(campaign_scale::normal);
+    const std::vector<path_profile> paths = campaign_catalog(cfg);
+    for (const epoch_pin& pin : pins) {
+        const auto it = std::find_if(paths.begin(), paths.end(), [&](const path_profile& p) {
+            return p.klass == pin.klass;
+        });
+        ASSERT_NE(it, paths.end());
+        const auto id = static_cast<std::uint64_t>(it->id);
+        const load_state load = load_trajectory(
+            *it, sim::derive_seed(cfg.seed, "trace", id, std::uint64_t{0}), 1)[0];
+        cfg.epoch.cross = pin.model;
+        const epoch_measurement m = run_epoch(
+            *it, load,
+            sim::derive_seed(cfg.seed, "epoch", id, std::uint64_t{0}, std::uint64_t{0}),
+            cfg.epoch);
+        char got[96];
+        std::snprintf(got, sizeof(got), "%llu, %a", static_cast<unsigned long long>(m.events),
+                      m.sim_time_s);
+        EXPECT_EQ(m.events, pin.events) << to_string(pin.klass) << ": got " << got;
+        EXPECT_EQ(m.sim_time_s, pin.sim_time_s) << to_string(pin.klass) << ": got " << got;
+    }
 }
 
 TEST(dataset_io, csv_roundtrip_preserves_records) {

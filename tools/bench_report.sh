@@ -9,7 +9,8 @@
 #                         scheduler, link forwarding and TCP hot loops, from
 #                         bench/micro_engine)
 #   BENCH_campaign.json   end-to-end campaign throughput in epochs/s, per
-#                         campaign and cross-traffic model
+#                         campaign and cross-traffic model: median, min and
+#                         max of REPEATS (3) runs each
 #   BENCH_record_store.json
 #                         record-store cursor rates (sequential ingest and
 #                         scan in records/s, from bench/micro_store)
@@ -33,8 +34,9 @@
 # The campaign runs write their CSVs to a temp dir and discard them: this
 # script measures, it does not produce datasets. Runs are serial by default
 # so the epochs/s numbers compare across machines with different core
-# counts. CI runs this at tiny scale and gates on >2x regression against
-# the committed numbers (.github/workflows/ci.yml, "perf smoke").
+# counts. CI runs this at tiny scale and gates on a >2x regression of the
+# median against the committed numbers (.github/workflows/ci.yml, "perf
+# smoke").
 set -eu
 
 SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
@@ -42,6 +44,9 @@ BUILD_DIR="$SRC_DIR/build"
 OUT_DIR="$SRC_DIR"
 SCALE="tiny"
 JOBS=1
+# Timed runs per (campaign, cross model): a median with its spread, not a
+# single run that one noisy neighbour can skew.
+REPEATS=3
 
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -151,35 +156,46 @@ fi
 for model in packet fluid; do
     for set in 1 2; do
         if [ "$set" = 1 ]; then flags="$C1_FLAGS"; else flags="$C2_FLAGS"; fi
-        echo "running campaign$set ($SCALE, $model, jobs=$JOBS)..." >&2
-        # shellcheck disable=SC2086  # flags is a word list by construction
-        "$CAMPAIGN" --out "$TMP_DIR/c$set-$model.csv" --jobs "$JOBS" \
-            --cross-model "$model" $flags 2> "$TMP_DIR/c$set-$model.log"
-        line="$(grep 'epochs in' "$TMP_DIR/c$set-$model.log")"
-        echo "$set $model $line" >> "$TMP_DIR/campaign_runs.txt"
-        echo "  $line" >&2
+        for rep in $(seq "$REPEATS"); do
+            echo "running campaign$set ($SCALE, $model, jobs=$JOBS, run $rep/$REPEATS)..." >&2
+            # shellcheck disable=SC2086  # flags is a word list by construction
+            "$CAMPAIGN" --out "$TMP_DIR/c$set-$model.csv" --jobs "$JOBS" \
+                --cross-model "$model" $flags 2> "$TMP_DIR/c$set-$model.log"
+            line="$(grep 'epochs in' "$TMP_DIR/c$set-$model.log")"
+            echo "$set $model $line" >> "$TMP_DIR/campaign_runs.txt"
+            echo "  $line" >&2
+        done
     done
 done
 
 python3 - "$TMP_DIR/campaign_runs.txt" "$OUT_DIR/BENCH_campaign.json" \
     "$SCALE" "$JOBS" <<'PY'
-import json, re, sys
-runs = []
+import json, re, statistics, sys
+timings = {}  # (campaign, model) -> (epochs, [epochs/s per run])
 for line in open(sys.argv[1]):
     # "<set> <model> <N> epochs in <S> s (<R> epochs/s)"
     m = re.match(r"(\d) (\w+) (\d+) epochs in ([\d.]+) s \(([\d.]+) epochs/s\)",
                  line.strip())
     if not m:
         sys.exit(f"unparseable campaign timing line: {line!r}")
-    runs.append({
-        "campaign": int(m.group(1)),
-        "cross_model": m.group(2),
-        "epochs": int(m.group(3)),
-        "seconds": float(m.group(4)),
-        "epochs_per_s": float(m.group(5)),
-    })
+    key = (int(m.group(1)), m.group(2))
+    timings.setdefault(key, (int(m.group(3)), []))[1].append(float(m.group(5)))
+runs = [
+    {
+        "campaign": campaign,
+        "cross_model": model,
+        "epochs": epochs,
+        "repeats": len(rates),
+        "epochs_per_s": {
+            "median": statistics.median(rates),
+            "min": min(rates),
+            "max": max(rates),
+        },
+    }
+    for (campaign, model), (epochs, rates) in timings.items()
+]
 out = {
-    "schema": "tcppred-bench-campaign-v1",
+    "schema": "tcppred-bench-campaign-v2",
     "scale": sys.argv[3],
     "jobs": int(sys.argv[4]),
     "runs": runs,

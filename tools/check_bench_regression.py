@@ -7,8 +7,9 @@ Usage:
 Loads BENCH_campaign.json, BENCH_scheduler.json, BENCH_record_store.json
 and BENCH_serve.json from both directories,
 validates the schemas (see PERFORMANCE.md), then compares each campaign
-run's epochs/s: a fresh number more than `factor` times slower than the
-committed one fails the check. Only runs present in BOTH files are
+run's median epochs/s (over the repeated runs bench_report.sh makes): a
+fresh median more than `factor` times slower than the committed one fails
+the check. Only runs present in BOTH files are
 compared (so adding a new campaign/model doesn't break the gate), but the
 committed runs must all still exist. The other files (scheduler, record
 store, serve) are schema-validated only: google-benchmark timings and
@@ -40,8 +41,8 @@ def load(path: pathlib.Path) -> dict:
 
 
 def validate_campaign(doc: dict, origin: pathlib.Path) -> dict:
-    """Schema check; returns {(campaign, cross_model): epochs_per_s}."""
-    if doc.get("schema") != "tcppred-bench-campaign-v1":
+    """Schema check; returns {(campaign, cross_model): median epochs_per_s}."""
+    if doc.get("schema") != "tcppred-bench-campaign-v2":
         fail(f"{origin}: bad schema tag: {doc.get('schema')!r}")
     if doc.get("scale") not in ("tiny", "normal"):
         fail(f"{origin}: bad scale: {doc.get('scale')!r}")
@@ -53,15 +54,21 @@ def validate_campaign(doc: dict, origin: pathlib.Path) -> dict:
     table = {}
     for r in runs:
         for key, typ in (("campaign", int), ("cross_model", str),
-                         ("epochs", int), ("seconds", (int, float)),
-                         ("epochs_per_s", (int, float))):
+                         ("epochs", int), ("repeats", int),
+                         ("epochs_per_s", dict)):
             if not isinstance(r.get(key), typ):
                 fail(f"{origin}: run field {key} bad or missing: {r!r}")
         if r["cross_model"] not in ("packet", "fluid"):
             fail(f"{origin}: bad cross_model: {r['cross_model']!r}")
-        if r["epochs_per_s"] <= 0:
-            fail(f"{origin}: non-positive epochs_per_s: {r!r}")
-        table[(r["campaign"], r["cross_model"])] = r["epochs_per_s"]
+        if r["repeats"] < 1:
+            fail(f"{origin}: bad repeats: {r!r}")
+        rate = r["epochs_per_s"]
+        for key in ("median", "min", "max"):
+            if not isinstance(rate.get(key), (int, float)) or rate[key] <= 0:
+                fail(f"{origin}: epochs_per_s.{key} bad or missing: {r!r}")
+        if not rate["min"] <= rate["median"] <= rate["max"]:
+            fail(f"{origin}: epochs_per_s median outside [min, max]: {r!r}")
+        table[(r["campaign"], r["cross_model"])] = rate["median"]
     return table
 
 
@@ -158,7 +165,7 @@ def main() -> None:
             continue
         ratio = old / new
         verdict = "FAIL" if ratio > args.factor else "ok"
-        print(f"{verdict}: campaign {key[0]} ({key[1]}): "
+        print(f"{verdict}: campaign {key[0]} ({key[1]}): median "
               f"{new:.1f} epochs/s vs committed {old:.1f} "
               f"({ratio:.2f}x slower, limit {args.factor:.1f}x)")
         if ratio > args.factor:
