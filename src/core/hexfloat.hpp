@@ -19,12 +19,17 @@ namespace tcppred::core {
 }
 
 /// Parse a hexd()-formatted field back to the identical double. NaN and
-/// infinities are legal; anything but exactly one float throws parse_error
-/// naming `knob`, like the other checked parsers.
+/// infinities are legal; anything but hexd()'s own bytes for the value read
+/// (leading whitespace, decimal, uppercase, "infinity", NaN payloads, ...)
+/// throws parse_error naming `knob`, like the other checked parsers, so each
+/// double has exactly one accepted encoding.
 [[nodiscard]] inline double parse_hexd(std::string_view knob, const std::string& s) {
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0') {
+    // Re-encoding catches every other form, trailing bytes and unparsable
+    // text included; a stack buffer keeps the check off the heap.
+    const double v = std::strtod(s.c_str(), nullptr);
+    char canonical[64];
+    std::snprintf(canonical, sizeof(canonical), "%a", v);
+    if (s != canonical) {
         throw parse_error(std::string(knob), s, "expected a float");
     }
     return v;

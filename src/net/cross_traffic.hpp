@@ -101,7 +101,7 @@ struct pareto_onoff_config {
 };
 
 /// In packet mode the in-burst emit chain is an event stream (one pending
-/// emission, DESIGN.md §13.7); the burst boundaries stay on the calendar.
+/// emission, DESIGN.md §13.7); the burst boundaries stay scheduler timers.
 class pareto_onoff_source final : public sim::event_stream {
 public:
     pareto_onoff_source(sim::scheduler& sched, duplex_path& path, std::size_t link_index,
@@ -135,7 +135,7 @@ private:
     pareto_onoff_config cfg_;
     cross_model model_;
     bool running_{false};
-    bool cycle_pending_{false};     ///< a burst-boundary event is on the calendar
+    bool cycle_pending_{false};     ///< a burst-boundary timer is pending
     double burst_until_{0.0};       ///< end of the current ON period (packet mode)
     double applied_rate_bps_{0.0};  ///< fluid rate currently on the link
     std::uint64_t seq_{0};

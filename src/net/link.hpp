@@ -35,7 +35,7 @@ struct link_stats {
 /// The link is an event stream (DESIGN.md §13.7): its pending events are the
 /// one transmission in progress and the packets on the wire, a FIFO whose
 /// delivery times grow with their transmission-completion times. Neither
-/// touches the calendar queue.
+/// touches the scheduler's timer array.
 class link final : public sim::event_stream {
 public:
     /// @param buffer_packets maximum number of packets queued *behind* the

@@ -1,13 +1,14 @@
 // Discrete-event scheduler: the clock and event queue every simulated
 // component (links, TCP endpoints, probers, traffic sources) runs on.
 //
-// Implementation: a calendar queue (Brown 1988) over pool-allocated event
-// nodes whose callbacks are constructed and invoked in place in inline
-// small-buffer storage (sim/callback.hpp) — the steady-state schedule/fire
-// cycle performs no heap allocation and never moves a callback. Components
-// whose events are already in dispatch order (links, open-loop sources)
-// bypass the calendar as event streams, merged with it by (when, id).
-// Design and contracts: DESIGN.md §13.
+// Implementation: one array of pending timers kept sorted by (when, id),
+// over pool-allocated event nodes whose callbacks are constructed and
+// invoked in place in inline small-buffer storage (sim/callback.hpp) — the
+// steady-state schedule/fire cycle performs no heap allocation and never
+// moves a callback. Components whose events are already in dispatch order
+// (links, open-loop sources) bypass the timer array as event streams,
+// merged with it by (when, id), so the array holds only a few dozen
+// timers. Design and contracts: DESIGN.md §13.
 #pragma once
 
 #include <cmath>
@@ -44,9 +45,9 @@ class scheduler;
 /// The component takes each event's key from admit_in() at the moment it
 /// would otherwise have called schedule_in(), and publishes its earliest
 /// pending key with set_head() (or clear_head() when it has none) after
-/// every change. The scheduler merges stream heads with the calendar by
-/// key, so firing order, every now() and fired() are exactly those of the
-/// same events on the calendar. When its head fires, fire_head() runs with
+/// every change. The scheduler merges stream heads with its timers by key,
+/// so firing order, every now() and fired() are exactly those of the same
+/// events scheduled as timers. When its head fires, fire_head() runs with
 /// now() already advanced; it must release() the entry and re-publish the
 /// head before running any handler, so a throwing handler leaves the
 /// scheduler usable. Stream events cannot be cancelled. A stream detaches
@@ -106,22 +107,20 @@ struct event_handle {
 ///     scheduled (FIFO tie-breaking, by monotonically increasing event id),
 ///     which keeps packet-level simulations deterministic.
 /// Event-stream heads (above) take part in the same order: a stream event
-/// fires exactly where its key puts it among calendar events.
+/// fires exactly where its key puts it among timers.
 ///
 /// Callbacks are constructed directly in their pooled event node and invoked
 /// there; they never move. While a callback runs, its own handle is already
 /// spent (cancelling it is a no-op) and the node stays off the free list, so
 /// events it schedules never reuse it.
 ///
-/// Cancellation is O(1): `cancel()` marks the node dead and destroys its
-/// callback immediately; the node itself is reclaimed when the queue next
-/// walks past it (or on rebucketing). `pending()` counts such dead-but-not-
-/// yet-reclaimed events, as the previous heap-based implementation counted
-/// cancelled-but-not-yet-popped entries; all are discarded once no live
-/// event remains.
+/// Cancellation is eager (DESIGN.md §13.3): `cancel()` removes the event
+/// from the timer array, destroys its callback and recycles its node at
+/// once, so a cancelled event leaves `pending()` immediately. Cancelling
+/// with a stale, spent or invalid handle is still a no-op.
 class scheduler {
 public:
-    scheduler();
+    scheduler() = default;
     ~scheduler();
     scheduler(const scheduler&) = delete;
     scheduler& operator=(const scheduler&) = delete;
@@ -150,8 +149,9 @@ public:
         return schedule_at(now_ + delay, std::forward<F>(f));
     }
 
-    /// Cancel a previously scheduled event. Safe to call with an invalid,
-    /// already-fired, or already-cancelled handle (no effect).
+    /// Cancel a previously scheduled event: it leaves pending() and its
+    /// callable is destroyed before this returns. Safe to call with an
+    /// invalid, already-fired, or already-cancelled handle (no effect).
     void cancel(event_handle h);
 
     /// Fire the next pending event, advancing the clock. Returns false when
@@ -169,10 +169,9 @@ public:
     /// Run until no events remain.
     void run_all();
 
-    /// Number of events currently pending: calendar events (including
-    /// cancelled-but-not-yet reclaimed ones) plus event-stream entries.
+    /// Number of events currently pending: timers plus event-stream entries.
     [[nodiscard]] std::size_t pending() const noexcept {
-        return live_ + dead_ + stream_entries_;
+        return timers_.size() + stream_entries_;
     }
 
     /// Total number of events fired so far (diagnostics / micro-benchmarks).
@@ -181,17 +180,19 @@ public:
 private:
     friend class event_stream;
 
-    /// Pool-allocated intrusive event node. Nodes never move once allocated;
-    /// buckets chain them through `next`. A dead (cancelled) node keeps its
-    /// queue position but has id == 0 and an empty callback.
+    /// Pool-allocated event node. Nodes never move once allocated; free
+    /// nodes chain through `next` and have id == 0 and an empty callback.
     struct event_node {
         time_point when{0.0};
         std::uint64_t id{0};
         event_node* next{nullptr};
-        /// Virtual (un-wrapped) bucket of `when` at the current width,
-        /// computed once per insertion.
-        std::int64_t vbucket{0};
         small_callback cb;
+    };
+    /// Entry of the timer array: the node's key, kept inline so searches
+    /// never touch the nodes.
+    struct timer {
+        event_key key;
+        event_node* node;
     };
 
     /// Slow path of schedule_at's time check: clamps tiny floating-point
@@ -200,46 +201,15 @@ private:
     [[nodiscard]] event_node* alloc_node();
     void free_node(event_node* n) noexcept;
     event_handle enqueue(event_node* n, time_point when);
-    void insert_node(event_node* n);
-    [[nodiscard]] const event_node* peek_min();
-    /// peek_min(), remembered until the calendar next changes, so the many
-    /// stream events that touch no calendar event skip the bucket scan.
-    [[nodiscard]] const event_node* calendar_min() {
-        if (!cal_min_known_) {
-            cal_min_ = peek_min();
-            cal_min_known_ = true;
-        }
-        return cal_min_;
-    }
-    [[nodiscard]] event_node* pop_head();
-    void fire(event_node* n);
-    /// True when the earliest stream head precedes the calendar minimum `c`
-    /// (null: the calendar is empty).
-    [[nodiscard]] bool stream_first(const event_node* c) const noexcept;
+    /// True when the earliest stream head precedes the earliest timer.
+    [[nodiscard]] bool stream_first() const noexcept;
+    void fire_timer();
     void fire_stream();
-    void rebucket(std::size_t new_bucket_count);
     void move_stream(std::size_t i, event_key head) noexcept;
     void drop_stream(std::size_t i) noexcept;
-    void purge_all_dead() noexcept;
-    /// Virtual bucket of an event time: floor(t / width), by truncation
-    /// since t >= 0, saturated so far-future times stay representable.
-    [[nodiscard]] std::int64_t bucket_key(time_point t) const noexcept;
 
-    // --- calendar queue ---
-    std::vector<event_node*> buckets_;
-    std::size_t bucket_mask_{0};   ///< buckets_.size() - 1 (power of two)
-    double inv_width_{1e3};        ///< 1 / bucket width (simulated seconds)
-    std::int64_t v_cur_{0};        ///< virtual bucket the scan is positioned at
-    std::size_t cur_{0};           ///< v_cur_ wrapped into buckets_
-    std::size_t live_{0};          ///< pending, not cancelled
-    std::size_t dead_{0};          ///< cancelled, not yet reclaimed
-    /// EMA of positive inter-dequeue gaps: the width estimate feeding
-    /// rebucket() (Brown's rule of thumb: width a small multiple of the
-    /// mean gap keeps ~1 live event per bucket).
-    double gap_ema_{0.0};
-    double last_dequeued_{0.0};
-    const event_node* cal_min_{nullptr};  ///< calendar_min() cache
-    bool cal_min_known_{false};
+    /// Pending timers in ascending (when, id) order: front() fires next.
+    std::vector<timer> timers_;
 
     // --- node pool ---
     std::vector<std::unique_ptr<event_node[]>> chunks_;

@@ -96,7 +96,7 @@ TEST(link, propagation_does_not_serialize) {
 TEST(link, transmission_completing_before_the_wire_front_fires_first) {
     // A long wire: the first packet is still propagating when a second one
     // reaches the idle link and finishes serializing. The link's earliest
-    // pending event moves earlier (DESIGN.md §13.7), and a calendar event
+    // pending event moves earlier (DESIGN.md §13.7), and a timer
     // between the two must still fire in time order.
     sim::scheduler s;
     link l(s, 8e6, 1.0, 10);  // 1000 bytes = 1 ms tx, 1 s on the wire

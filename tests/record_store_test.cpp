@@ -575,6 +575,41 @@ TEST_F(record_store, checkpoint_rejects_partial_and_out_of_range_fields) {
                             "store field: \"1o24\" (expected an unsigned integer)");
 }
 
+/// Strings strtod reads as a float but hexd() never writes: each double has
+/// exactly one accepted encoding (whitespace, decimal, uppercase, spelled-out
+/// infinity and NaN payloads are all refused).
+const std::vector<std::string> k_non_canonical_floats{
+    " 0x1p+0", "\t2", "1.5", "1e3", "infinity", "nan(123)", "0X1P0"};
+
+/// `text` with `from` replaced by `to` inside its only chunk, and the end
+/// line re-pointed at the shifted footer, so only the field parser can
+/// object to the edit.
+std::string replaced_in_chunk(const std::string& text, const std::string& from,
+                              const std::string& to) {
+    std::string out = replaced(text, from, to);
+    const std::size_t footer = out.rfind("\nfooter,") + 1;
+    out.replace(out.rfind("end,"), std::string::npos, "end," + std::to_string(footer) + "\n");
+    return out;
+}
+
+TEST_F(record_store, float_fields_accept_only_hexd_bytes) {
+    const auto file = dir_ / "c.ckpt";
+    testbed::save_checkpoint(six_slot_checkpoint(), file);
+    const std::string text = read_file(file);
+    const std::string from = "col,r_large_bps,0x1.8p+0,";
+    {
+        // The re-pointing itself is sound: a canonical edit loads.
+        std::istringstream in(replaced_in_chunk(text, from, "col,r_large_bps,0x1p+0,"));
+        const auto ck =
+            testbed::load_checkpoint(in, "<test>", testbed::campaign_fingerprint(six_slot_config()));
+        EXPECT_EQ(ck.records[0].m.r_large_bps, 1.0);
+    }
+    for (const std::string& bad : k_non_canonical_floats) {
+        expect_checkpoint_error(replaced_in_chunk(text, from, "col,r_large_bps," + bad + ","),
+                                "store field: \"" + bad + "\" (expected a float)");
+    }
+}
+
 TEST_F(record_store, checkpoint_rejects_record_count_disagreeing_with_bitmap) {
     const auto ck = six_slot_checkpoint();
     for (const std::size_t appended : {2u, 4u}) {

@@ -1,4 +1,4 @@
-// Randomized equivalence test for the calendar-queue scheduler: drives the
+// Randomized equivalence test for the timer-array scheduler: drives the
 // real scheduler and a trivially-correct reference queue with the same
 // operation stream and requires identical firing order. This pins the
 // dispatch contract (DESIGN.md §13.2) — strictly by (when, id), FIFO among
@@ -6,8 +6,8 @@
 // exactly the property that makes campaign CSVs byte-identical across
 // scheduler implementations. The reference also models event streams
 // (§13.7): their entries are ordinary (when, id) entries that are never
-// cancelled, so a stream event must fire exactly where the same event on
-// the calendar would have.
+// cancelled, so a stream event must fire exactly where the same event as a
+// timer would have.
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -136,10 +136,10 @@ private:
     std::optional<event_key> slot_;
 };
 
-TEST(scheduler_stress, streams_merge_with_calendar_like_reference) {
+TEST(scheduler_stress, streams_merge_with_timers_like_reference) {
     // Every time is a multiple of 2^-20 s below 2^20 s, so now() + delay is
     // exact: FIFO pushes can land exactly on the back's `when`, and stream
-    // heads exactly on calendar events' and other heads' times. A coarse
+    // heads exactly on timers' and other heads' times. A coarse
     // grid makes such ties common.
     std::mt19937_64 gen(20051005);
     std::uniform_real_distribution<double> u01(0.0, 1.0);
@@ -199,9 +199,10 @@ TEST(scheduler_stress, streams_merge_with_calendar_like_reference) {
             const std::uint64_t want = ref.pop_min();
             ref_order.push_back(want);
             ASSERT_TRUE(s.step());
-            // pending() counts stream entries and calendar events alike; the
-            // reference lags only by cancelled husks the calendar keeps.
-            EXPECT_GE(s.pending(), ref.live());
+            // pending() counts timers and stream entries alike, and a
+            // cancelled timer leaves it at once: it equals the reference's
+            // live entries, which include every unfired stream entry.
+            EXPECT_EQ(s.pending(), ref.live());
         }
     }
     // Drain in lockstep: handlers keep scheduling (and cancelling) while
@@ -218,9 +219,9 @@ TEST(scheduler_stress, streams_merge_with_calendar_like_reference) {
 
 TEST(scheduler_stress, randomized_firing_order_matches_reference) {
     // Mixed continuous and grid-quantized times: the grid forces many exact
-    // timestamp collisions, stressing the FIFO tie-break and the sorted
-    // intra-bucket insertion; the continuous part stresses bucket-width
-    // adaptation across very different event horizons.
+    // timestamp collisions, stressing the FIFO tie-break of the sorted
+    // insertion; the continuous part spreads timers over very different
+    // horizons.
     std::mt19937_64 gen(20040501);
     std::uniform_real_distribution<double> u01(0.0, 1.0);
 
@@ -275,7 +276,7 @@ TEST(scheduler_stress, firing_order_is_tracked_per_event) {
     // The structural variant above checks pop-for-pop agreement; this one
     // checks the actual identity of every fired event against the reference,
     // with heavy same-timestamp collision and interleaved cancellation.
-    std::mt19937_64 gen(19880315);  // calendar queues: Brown 1988
+    std::mt19937_64 gen(19880315);
     std::uniform_real_distribution<double> u01(0.0, 1.0);
 
     scheduler s;
@@ -359,8 +360,8 @@ TEST(scheduler_stress, pool_reuse_keeps_fifo_order_after_cancellations) {
 }
 
 TEST(scheduler_stress, wide_horizon_mix_stays_ordered) {
-    // Microsecond-spaced events against hour-scale timers: the calendar
-    // queue's direct-min fallback must never return a later event first.
+    // Microsecond-spaced events against hour-scale timers: a later event
+    // must never fire first.
     scheduler s;
     std::vector<double> times;
     s.schedule_at(3600.0, [&times, &s] { times.push_back(s.now()); });

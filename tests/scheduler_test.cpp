@@ -91,6 +91,55 @@ TEST(scheduler, run_until_stops_at_horizon) {
     EXPECT_DOUBLE_EQ(s.now(), 10.0);
 }
 
+TEST(scheduler, cancel_leaves_pending_at_once) {
+    // A cancelled event leaves pending() the moment it is cancelled, and its
+    // callable is destroyed then; stale and spent handles change nothing.
+    scheduler s;
+    auto owned = std::make_shared<int>(1);
+    const event_handle early = s.schedule_at(1.0, [owned] {});
+    const event_handle late = s.schedule_at(2.0, [] {});
+    EXPECT_EQ(s.pending(), 2u);
+    s.cancel(early);
+    EXPECT_EQ(s.pending(), 1u);
+    EXPECT_EQ(owned.use_count(), 1);
+    s.cancel(early);  // already cancelled
+    EXPECT_EQ(s.pending(), 1u);
+    EXPECT_TRUE(s.step());
+    EXPECT_DOUBLE_EQ(s.now(), 2.0);
+    s.cancel(late);  // already fired
+    EXPECT_EQ(s.pending(), 0u);
+    EXPECT_EQ(s.fired(), 1u);
+}
+
+TEST(scheduler, arm_cancel_churn_keeps_pending_at_live_count) {
+    // The delayed-ACK pattern: a timer armed and cancelled before it fires,
+    // over and over, next to one far-future timer that stays live. pending()
+    // must track the live timers exactly on every cycle.
+    scheduler s;
+    bool far_fired = false;
+    s.schedule_at(1e6, [&] { far_fired = true; });
+    int ticks = 0;
+    std::size_t mismatches = 0;
+    constexpr int k_cycles = 100000;
+    for (int i = 0; i < k_cycles; ++i) {
+        const event_handle h = s.schedule_in(0.2 + 1e-3 * (i % 7), [] { ADD_FAILURE(); });
+        if (s.pending() != 2u) ++mismatches;
+        s.cancel(h);
+        if (s.pending() != 1u) ++mismatches;
+        if (i % 10 == 0) {  // let simulated time advance between bursts
+            s.schedule_in(0.01, [&] { ++ticks; });
+            if (!s.step()) ++mismatches;
+            if (s.pending() != 1u) ++mismatches;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(ticks, k_cycles / 10);
+    s.run_all();
+    EXPECT_TRUE(far_fired);
+    EXPECT_EQ(s.fired(), static_cast<std::uint64_t>(k_cycles / 10 + 1));
+    EXPECT_EQ(s.pending(), 0u);
+}
+
 TEST(scheduler, run_until_skips_cancelled_head) {
     scheduler s;
     bool late_fired = false;
@@ -147,8 +196,8 @@ TEST(scheduler, rejects_non_finite_event_times) {
 }
 
 TEST(scheduler, far_future_events_keep_dispatch_order) {
-    // Times whose bucket number overflows any integer key must still order
-    // correctly among themselves and after near events.
+    // Times far beyond any simulated horizon must still order correctly
+    // among themselves and after near events.
     scheduler s;
     std::vector<int> order;
     s.schedule_at(1e300, [&] { order.push_back(3); });
@@ -229,7 +278,7 @@ private:
     int next_{0};
 };
 
-TEST(scheduler_streams, interleave_with_calendar_by_key) {
+TEST(scheduler_streams, interleave_with_timers_by_key) {
     scheduler s;
     std::vector<int> order;
     fifo_stream st(s, [&](int v) { order.push_back(100 + v); });
@@ -296,11 +345,11 @@ TEST(scheduler_streams, run_until_stops_at_stream_head_past_horizon) {
     EXPECT_EQ(fired, 2);
     EXPECT_DOUBLE_EQ(s.now(), 3.0);
     EXPECT_EQ(s.pending(), 1u);
-    // Nothing on the calendar: the stream head alone bounds the run.
+    // No timer pending: the stream head alone bounds the run.
     s.run_until(4.0);
     EXPECT_EQ(fired, 2);
     EXPECT_DOUBLE_EQ(s.now(), 4.0);
-    s.run_until(5.0);  // inclusive, like calendar events
+    s.run_until(5.0);  // inclusive, like timers
     EXPECT_EQ(fired, 3);
     EXPECT_EQ(s.pending(), 0u);
 }

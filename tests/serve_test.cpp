@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "analysis/evaluation.hpp"
+#include "core/hexfloat.hpp"
 #include "core/predictor_registry.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -333,6 +334,33 @@ TEST_F(serve_fixture, snapshot_refuses_mismatched_specs_and_garbage) {
     serve::path_table t3(specs);
     EXPECT_THROW((void)serve::load_snapshot(t3, dir_ / "missing.txt"),
                  testbed::dataset_error);
+}
+
+TEST_F(serve_fixture, snapshot_float_fields_accept_only_hexd_bytes) {
+    const std::vector<std::string> specs{"fb:pftk"};
+    serve::path_table a(specs);
+    serve::observation ev;
+    ev.avail_bw_bps = 1e6;
+    a.observe("p", ev);
+    const std::string whole = serve::render_snapshot(a);
+    // The event line's third field is avail_bw_bps.
+    const std::size_t ev_at = whole.find("\nev,") + 1;
+    const std::size_t field = whole.find(',', whole.find(',', ev_at) + 1) + 1;
+    const std::size_t field_end = whole.find(',', field);
+    ASSERT_EQ(whole.substr(field, field_end - field), core::hexd(1e6));
+    const auto load_with = [&](const std::string& value) {
+        std::string text = whole;
+        text.replace(field, field_end - field, value);
+        const auto p = dir_ / "variant.txt";
+        std::ofstream(p, std::ios::binary | std::ios::trunc) << text;
+        serve::path_table t(specs);
+        return serve::load_snapshot(t, p).events;
+    };
+    EXPECT_EQ(load_with(core::hexd(2e6)), 1u);
+    for (const std::string bad :
+         {" 0x1p+0", "\t2", "1.5", "1e3", "infinity", "nan(123)", "0X1P0"}) {
+        EXPECT_THROW((void)load_with(bad), testbed::dataset_error) << bad;
+    }
 }
 
 // --- concurrency -----------------------------------------------------------

@@ -7,7 +7,8 @@
 #   BENCH_scheduler.json  event-substrate micro-benchmarks (google-benchmark
 #                         numbers for random draws, load trajectories, the
 #                         scheduler, link forwarding and TCP hot loops, from
-#                         bench/micro_engine)
+#                         bench/micro_engine): median, min and max of
+#                         REPEATS (3) repetitions per row
 #   BENCH_campaign.json   end-to-end campaign throughput in epochs/s, per
 #                         campaign and cross-traffic model: median, min and
 #                         max of REPEATS (3) runs each
@@ -44,8 +45,9 @@ BUILD_DIR="$SRC_DIR/build"
 OUT_DIR="$SRC_DIR"
 SCALE="tiny"
 JOBS=1
-# Timed runs per (campaign, cross model): a median with its spread, not a
-# single run that one noisy neighbour can skew.
+# Timed runs per (campaign, cross model) and repetitions per micro-benchmark
+# row: a median with its spread, not a single run that one noisy neighbour
+# can skew.
 REPEATS=3
 
 while [ $# -gt 0 ]; do
@@ -89,26 +91,36 @@ trap cleanup EXIT
 
 # --- micro-benchmarks -> BENCH_scheduler.json -----------------------------
 echo "running micro_engine benchmarks..." >&2
-"$MICRO" --benchmark_format=json > "$TMP_DIR/micro.json"
+"$MICRO" --benchmark_format=json --benchmark_repetitions="$REPEATS" > "$TMP_DIR/micro.json"
 
-python3 - "$TMP_DIR/micro.json" "$OUT_DIR/BENCH_scheduler.json" <<'PY'
-import json, sys
+python3 - "$TMP_DIR/micro.json" "$OUT_DIR/BENCH_scheduler.json" "$REPEATS" <<'PY'
+import json, statistics, sys
 raw = json.load(open(sys.argv[1]))
+rows = {}  # row name -> its repetitions, in output order
+for b in raw["benchmarks"]:
+    if b.get("run_type", "iteration") == "iteration":
+        rows.setdefault(b.get("run_name", b["name"]), []).append(b)
+
+def spread(values):
+    return {"median": round(statistics.median(values), 1),
+            "min": round(min(values), 1), "max": round(max(values), 1)}
+
 out = {
-    "schema": "tcppred-bench-scheduler-v1",
-    "source": "bench/micro_engine --benchmark_format=json",
+    "schema": "tcppred-bench-scheduler-v2",
+    "source": "bench/micro_engine --benchmark_format=json "
+              f"--benchmark_repetitions={sys.argv[3]}",
     "benchmarks": [
         {
-            "name": b["name"],
-            "real_time_ns": round(b["real_time"], 1),
+            "name": name,
+            "repeats": len(reps),
+            "real_time_ns": spread([b["real_time"] for b in reps]),
             **(
-                {"items_per_second": round(b["items_per_second"], 1)}
-                if "items_per_second" in b
+                {"items_per_second": spread([b["items_per_second"] for b in reps])}
+                if "items_per_second" in reps[0]
                 else {}
             ),
         }
-        for b in raw["benchmarks"]
-        if b.get("run_type", "iteration") == "iteration"
+        for name, reps in rows.items()
     ],
 }
 json.dump(out, open(sys.argv[2], "w"), indent=2)

@@ -40,6 +40,17 @@ def load(path: pathlib.Path) -> dict:
     raise AssertionError  # unreachable
 
 
+def validate_spread(value, what: str, r: dict, origin: pathlib.Path) -> None:
+    """A repeated measurement: positive median, min and max, in order."""
+    if not isinstance(value, dict):
+        fail(f"{origin}: {what} bad or missing: {r!r}")
+    for key in ("median", "min", "max"):
+        if not isinstance(value.get(key), (int, float)) or value[key] <= 0:
+            fail(f"{origin}: {what}.{key} bad or missing: {r!r}")
+    if not value["min"] <= value["median"] <= value["max"]:
+        fail(f"{origin}: {what} median outside [min, max]: {r!r}")
+
+
 def validate_campaign(doc: dict, origin: pathlib.Path) -> dict:
     """Schema check; returns {(campaign, cross_model): median epochs_per_s}."""
     if doc.get("schema") != "tcppred-bench-campaign-v2":
@@ -62,18 +73,13 @@ def validate_campaign(doc: dict, origin: pathlib.Path) -> dict:
             fail(f"{origin}: bad cross_model: {r['cross_model']!r}")
         if r["repeats"] < 1:
             fail(f"{origin}: bad repeats: {r!r}")
-        rate = r["epochs_per_s"]
-        for key in ("median", "min", "max"):
-            if not isinstance(rate.get(key), (int, float)) or rate[key] <= 0:
-                fail(f"{origin}: epochs_per_s.{key} bad or missing: {r!r}")
-        if not rate["min"] <= rate["median"] <= rate["max"]:
-            fail(f"{origin}: epochs_per_s median outside [min, max]: {r!r}")
-        table[(r["campaign"], r["cross_model"])] = rate["median"]
+        validate_spread(r["epochs_per_s"], "epochs_per_s", r, origin)
+        table[(r["campaign"], r["cross_model"])] = r["epochs_per_s"]["median"]
     return table
 
 
 def validate_scheduler(doc: dict, origin: pathlib.Path) -> None:
-    if doc.get("schema") != "tcppred-bench-scheduler-v1":
+    if doc.get("schema") != "tcppred-bench-scheduler-v2":
         fail(f"{origin}: bad schema tag: {doc.get('schema')!r}")
     benches = doc.get("benchmarks")
     if not isinstance(benches, list) or not benches:
@@ -81,8 +87,11 @@ def validate_scheduler(doc: dict, origin: pathlib.Path) -> None:
     for b in benches:
         if not isinstance(b.get("name"), str):
             fail(f"{origin}: benchmark without a name: {b!r}")
-        if not isinstance(b.get("real_time_ns"), (int, float)) or b["real_time_ns"] <= 0:
-            fail(f"{origin}: bad real_time_ns: {b!r}")
+        if not isinstance(b.get("repeats"), int) or b["repeats"] < 1:
+            fail(f"{origin}: bad repeats: {b!r}")
+        validate_spread(b.get("real_time_ns"), "real_time_ns", b, origin)
+        if "items_per_second" in b:
+            validate_spread(b["items_per_second"], "items_per_second", b, origin)
 
 
 def validate_record_store(doc: dict, origin: pathlib.Path) -> None:

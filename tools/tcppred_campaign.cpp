@@ -14,8 +14,10 @@
 // $REPRO_CHAOS (e.g. kill=0.05,hang=0.01) makes workers crash/wedge on a
 // seeded schedule so supervision is testable.
 //
-// Exit codes: 0 success, 1 bad arguments, 2 runtime failure,
-// 130 interrupted (SIGINT; progress is checkpointed when enabled).
+// Exit codes: 0 success; 1 usage error (missing --out, an unknown flag or a
+// missing value, conflicting modes); 2 a malformed flag value or
+// environment knob, or a runtime failure; 130 interrupted (SIGINT;
+// progress is checkpointed when enabled).
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include <iostream>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -177,11 +180,11 @@ int main(int argc, char** argv) {
         } else if (arg == "--jobs") {
             jobs = static_cast<int>(checked_int(0, 4096));  // 0 = auto
         } else if (arg == "--faults") {
+            const char* spec = next();
             try {
-                faults = tcppred::sim::fault_profile::parse(next());
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "bad --faults spec: %s\n", e.what());
-                return 1;
+                faults = tcppred::sim::fault_profile::parse(spec);
+            } catch (const std::invalid_argument& e) {
+                throw tcppred::core::parse_error(arg, spec, e.what());
             }
         } else if (arg == "--checkpoint-every") {
             run_opts.checkpoint_every = static_cast<int>(checked_int(1, 1000000000));
@@ -201,15 +204,12 @@ int main(int argc, char** argv) {
         } else if (arg == "--shard") {
             const char* spec = next();
             shard = parse_shard(spec);
-            if (!shard) {
-                std::fprintf(stderr, "bad --shard spec: %s (want i/N with 0 <= i < N)\n",
-                             spec);
-                return 1;
-            }
+            if (!shard) throw tcppred::core::parse_error(arg, spec, "want i/N with 0 <= i < N");
         } else if (arg == "--merge") {
             merge_n = static_cast<int>(checked_int(1, 1000000));
         } else if (arg == "--format") {
             format = next();
+            (void)tcppred::core::parse_checked_choice(arg, format, {"csv", "store"});
         } else if (arg == "--convert") {
             convert_from = next();
         } else if (arg == "--trace") {
@@ -245,10 +245,6 @@ int main(int argc, char** argv) {
     cfg.faults = faults;
     if ((workers > 0) + (merge_n > 0) + (shard ? 1 : 0) > 1) {
         std::fprintf(stderr, "--workers, --shard and --merge are mutually exclusive\n");
-        return 1;
-    }
-    if (format != "csv" && format != "store") {
-        std::fprintf(stderr, "bad --format: %s (want csv or store)\n", format.c_str());
         return 1;
     }
     const bool store_mode = format == "store";
