@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "analysis/stats.hpp"
@@ -17,38 +19,44 @@
 
 namespace tcppred::analysis {
 
-record_view view_of_record(const testbed::epoch_record& rec,
-                           const engine_options& opts) {
+namespace {
+
+/// The (loss, RTT) model inputs a record offers under `opts`.
+struct model_inputs {
+    double loss{0.0};
+    double rtt_s{0.0};
+};
+
+model_inputs raw_inputs(const testbed::epoch_measurement& m, const engine_options& opts) {
+    if (opts.use_during_flow) return {m.ptilde, m.ttilde_s};
+    return {opts.use_event_loss ? m.phat_events : m.phat, m.that_s};
+}
+
+/// A failed a-priori measurement (fault flags or NaN fields) never reaches
+/// a formula; FB-style predictors substitute the trace's last good
+/// measurement instead (their staleness fallback).
+bool measurement_failed(const testbed::epoch_measurement& m, model_inputs raw) {
+    return testbed::apriori_faulty(m.fault_flags) || std::isnan(raw.loss) ||
+           std::isnan(raw.rtt_s) || std::isnan(m.avail_bw_bps);
+}
+
+/// The one record projection: `failed` comes from the raw inputs, `seen`
+/// is what the predictor is shown (the raw inputs, or their moving average
+/// under smooth_inputs).
+record_view project(const testbed::epoch_record& rec, bool failed, model_inputs seen,
+                    const engine_options& opts) {
     const auto& m = rec.m;
-
-    double loss_in = 0.0;
-    double rtt_in = 0.0;
-    if (opts.use_during_flow) {
-        loss_in = m.ptilde;
-        rtt_in = m.ttilde_s;
-    } else {
-        loss_in = opts.use_event_loss ? m.phat_events : m.phat;
-        rtt_in = m.that_s;
-    }
-
-    // A failed a-priori measurement (fault flags or NaN fields) never
-    // reaches a formula; FB-style predictors substitute the trace's last
-    // good measurement instead (their staleness fallback).
-    const bool meas_failed = testbed::apriori_faulty(m.fault_flags) ||
-                             std::isnan(loss_in) || std::isnan(rtt_in) ||
-                             std::isnan(m.avail_bw_bps);
-
     record_view rv;
-    if (meas_failed) {
+    if (failed) {
         rv.inputs = core::epoch_inputs::failed_measurement();
-    } else if (rtt_in <= 0.0) {
+    } else if (seen.rtt_s <= 0.0) {
         // A zero RTT means the epoch never produced a prior view: the epoch
         // carries no measurement at all (and is skipped without aging any
         // fallback), rather than counting as a failure.
         rv.inputs = core::epoch_inputs::absent();
     } else {
         rv.inputs = core::epoch_inputs::valid(core::path_measurement{
-            core::probability{loss_in}, core::seconds{rtt_in},
+            core::probability{seen.loss}, core::seconds{seen.rtt_s},
             core::bits_per_second{m.avail_bw_bps}});
     }
 
@@ -58,8 +66,6 @@ record_view view_of_record(const testbed::epoch_record& rec,
                         : actual;
     return rv;
 }
-
-namespace {
 
 const char* source_name(core::prediction_source s) {
     switch (s) {
@@ -72,97 +78,51 @@ const char* source_name(core::prediction_source s) {
     return "unknown";
 }
 
-/// One (path, trace) series prepared for the streaming walk: the walked
+/// One (path, trace) series prepared for the scoring walk: the walked
 /// (downsampled) records, each epoch's a-priori measurement view, and the
 /// masked actual throughputs (NaN = failed transfer measurement).
 struct trace_view {
-    int path_id{0};
-    int trace_id{0};
     std::vector<const testbed::epoch_record*> recs;
     std::vector<core::epoch_inputs> inputs;
     std::vector<double> actuals;
 };
 
-trace_view build_view(std::pair<int, int> key,
-                      const std::vector<const testbed::epoch_record*>& recs,
+trace_view build_view(const std::vector<const testbed::epoch_record*>& recs,
                       const engine_options& opts) {
     trace_view v;
-    v.path_id = key.first;
-    v.trace_id = key.second;
     for (std::size_t i = 0; i < recs.size(); i += opts.downsample) {
         v.recs.push_back(recs[i]);
     }
     v.inputs.reserve(v.recs.size());
     v.actuals.reserve(v.recs.size());
 
-    if (!opts.smooth_inputs) {
-        // The stateless path: one shared projection per record, the same
-        // function online consumers (src/serve/) call per observation.
-        for (const testbed::epoch_record* rec : v.recs) {
-            const record_view rv = view_of_record(*rec, opts);
-            v.inputs.push_back(rv.inputs);
-            v.actuals.push_back(rv.actual_bps);
-        }
-        return v;
-    }
-
     // Per-trace (p, T) history for input smoothing, in walked-epoch order.
-    std::vector<double> p_hist, t_hist;
+    std::vector<model_inputs> hist;
     for (const testbed::epoch_record* rec : v.recs) {
         const auto& m = rec->m;
-
-        double loss_in = 0.0;
-        double rtt_in = 0.0;
-        if (opts.use_during_flow) {
-            loss_in = m.ptilde;
-            rtt_in = m.ttilde_s;
-        } else {
-            loss_in = opts.use_event_loss ? m.phat_events : m.phat;
-            rtt_in = m.that_s;
-        }
-
-        // A failed a-priori measurement (fault flags or NaN fields) never
-        // reaches a formula; FB-style predictors substitute the trace's
-        // last good measurement instead (their staleness fallback).
-        const bool meas_failed = testbed::apriori_faulty(m.fault_flags) ||
-                                 std::isnan(loss_in) || std::isnan(rtt_in) ||
-                                 std::isnan(m.avail_bw_bps);
-
-        if (!meas_failed) {
+        const model_inputs raw = raw_inputs(m, opts);
+        const bool failed = measurement_failed(m, raw);
+        model_inputs seen = raw;
+        if (opts.smooth_inputs && !failed) {
             // One-step-ahead moving average over the previous epochs' good
             // measurements; the raw current measurement seeds the very
             // first epoch of a trace.
-            if (!p_hist.empty()) {
-                const std::size_t n = std::min(opts.smooth_window, p_hist.size());
+            if (!hist.empty()) {
+                const std::size_t n = std::min(opts.smooth_window, hist.size());
                 double ps = 0.0, ts = 0.0;
-                for (std::size_t k = p_hist.size() - n; k < p_hist.size(); ++k) {
-                    ps += p_hist[k];
-                    ts += t_hist[k];
+                for (std::size_t k = hist.size() - n; k < hist.size(); ++k) {
+                    ps += hist[k].loss;
+                    ts += hist[k].rtt_s;
                 }
-                loss_in = ps / static_cast<double>(n);
-                rtt_in = ts / static_cast<double>(n);
+                seen = {ps / static_cast<double>(n), ts / static_cast<double>(n)};
             }
-            p_hist.push_back(opts.use_during_flow ? m.ptilde : m.phat);
-            t_hist.push_back(opts.use_during_flow ? m.ttilde_s : m.that_s);
+            // The history keeps the raw probe loss rate even under
+            // use_event_loss.
+            hist.push_back({opts.use_during_flow ? m.ptilde : m.phat, raw.rtt_s});
         }
-
-        if (meas_failed) {
-            v.inputs.push_back(core::epoch_inputs::failed_measurement());
-        } else if (rtt_in <= 0.0) {
-            // A zero RTT means the epoch never produced a prior view: the
-            // epoch carries no measurement at all (and is skipped without
-            // aging any fallback), rather than counting as a failure.
-            v.inputs.push_back(core::epoch_inputs::absent());
-        } else {
-            v.inputs.push_back(core::epoch_inputs::valid(core::path_measurement{
-                core::probability{loss_in}, core::seconds{rtt_in},
-                core::bits_per_second{m.avail_bw_bps}}));
-        }
-
-        const double actual = opts.small_window ? m.r_small_bps : m.r_large_bps;
-        v.actuals.push_back(testbed::actual_faulty(m.fault_flags)
-                                ? std::numeric_limits<double>::quiet_NaN()
-                                : actual);
+        const record_view rv = project(*rec, failed, seen, opts);
+        v.inputs.push_back(rv.inputs);
+        v.actuals.push_back(rv.actual_bps);
     }
     return v;
 }
@@ -232,14 +192,90 @@ void score_walk(const std::vector<core::epoch_inputs>& inputs,
     }
 }
 
-double rmsre_of_epochs(const std::vector<epoch_score>& epochs) {
-    std::vector<double> errors;
-    errors.reserve(epochs.size());
-    for (const auto& e : epochs) errors.push_back(e.error);
-    return core::rmsre(errors);
+void require_downsample(const engine_options& opts) {
+    if (opts.downsample == 0) {
+        throw std::invalid_argument("engine_options: downsample must be >= 1");
+    }
+}
+
+/// Every spec's prototype, owned, and the pointer list score_trace takes.
+struct prototype_set {
+    std::vector<std::unique_ptr<core::predictor>> owned;
+    std::vector<const core::predictor*> ptrs;
+};
+
+/// Throws core::predictor_spec_error on a bad spec before any data is
+/// touched.
+prototype_set make_prototypes(const std::vector<std::string>& specs,
+                              const core::predictor_config& cfg) {
+    prototype_set set;
+    for (const auto& spec : specs) {
+        set.owned.push_back(core::make_predictor(spec, cfg));
+        set.ptrs.push_back(set.owned.back().get());
+    }
+    return set;
+}
+
+/// The one per-trace pipeline both callers run (the parallel in-memory
+/// engine and the serial stream): build the view, run the optional LSO
+/// exclusion scan, then clone, walk and score every prototype. A slot is
+/// empty when the trace is too short for that predictor or nothing on it
+/// was scorable.
+std::vector<std::optional<trace_result>> score_trace(
+    std::pair<int, int> key, const std::vector<const testbed::epoch_record*>& recs,
+    const std::vector<const core::predictor*>& prototypes, const engine_options& opts) {
+    const obs::stage_timer t_trace("engine.trace");
+    const trace_view view = build_view(recs, opts);
+
+    std::optional<std::vector<bool>> excluded;
+    if (opts.exclude_outliers) {
+        excluded = core::lso_scan(view.actuals, opts.predictor.lso).is_outlier;
+    }
+
+    std::vector<std::optional<trace_result>> out(prototypes.size());
+    for (std::size_t pj = 0; pj < prototypes.size(); ++pj) {
+        if (view.actuals.size() < prototypes[pj]->min_trace_length()) continue;
+        const auto pred = prototypes[pj]->clone_empty();
+
+        trace_result tr;
+        tr.path_id = key.first;
+        tr.trace_id = key.second;
+        score_walk(view.inputs, view.actuals, &view.recs, *pred, opts.warmup,
+                   excluded ? &*excluded : nullptr, tr.epochs);
+        if (tr.epochs.empty()) continue;  // nothing scorable on this trace
+        core::rmsre_fold fold;
+        for (const auto& e : tr.epochs) fold.add(e.error);
+        tr.rmsre = fold.value();
+        out[pj] = std::move(tr);
+    }
+    return out;
+}
+
+/// Fold one scored epoch by its measurement status: faulty when its record
+/// carries any fault flag, stale when scored from a fallback measurement.
+void fold_epoch(conditioned_fold& fold, const epoch_score& e) {
+    fold.add(e.error, e.rec != nullptr && e.rec->m.fault_flags != testbed::fault_none,
+             e.staleness > 0);
 }
 
 }  // namespace
+
+record_view view_of_record(const testbed::epoch_record& rec,
+                           const engine_options& opts) {
+    const model_inputs raw = raw_inputs(rec.m, opts);
+    return project(rec, measurement_failed(rec.m, raw), raw, opts);
+}
+
+void conditioned_fold::add(double error, bool is_faulty, bool is_stale) noexcept {
+    all.add(error);
+    (is_faulty ? faulty : clean).add(error);
+    if (is_stale) stale.add(error);
+}
+
+conditioned_rmsre conditioned_fold::result() const noexcept {
+    return conditioned_rmsre{clean.value(), clean.n, faulty.value(),
+                             faulty.n,      stale.value(), stale.n};
+}
 
 std::vector<double> predictor_result::trace_rmsres() const {
     std::vector<double> out;
@@ -264,21 +300,13 @@ std::vector<epoch_score> predictor_result::all_epochs() const {
 
 std::vector<predictor_result> evaluation_engine::run(
     const testbed::dataset& data, const std::vector<std::string>& specs) const {
-    std::vector<std::unique_ptr<core::predictor>> owned;
-    owned.reserve(specs.size());
-    for (const auto& spec : specs) owned.push_back(core::make_predictor(spec, opts_.predictor));
-    std::vector<const core::predictor*> prototypes;
-    prototypes.reserve(owned.size());
-    for (const auto& p : owned) prototypes.push_back(p.get());
-    return run(data, prototypes);
+    return run(data, make_prototypes(specs, opts_.predictor).ptrs);
 }
 
 std::vector<predictor_result> evaluation_engine::run(
     const testbed::dataset& data,
     const std::vector<const core::predictor*>& prototypes) const {
-    if (opts_.downsample == 0) {
-        throw std::invalid_argument("evaluation_engine: downsample must be >= 1");
-    }
+    require_downsample(opts_);
 
     const auto traces_map = data.traces();
     std::vector<std::pair<std::pair<int, int>,
@@ -287,36 +315,13 @@ std::vector<predictor_result> evaluation_engine::run(
     traces.reserve(traces_map.size());
     for (const auto& [key, recs] : traces_map) traces.emplace_back(key, &recs);
 
-    // Pre-sized result slots indexed by (predictor, trace) keep the output
-    // independent of worker completion order (determinism contract).
-    std::vector<std::vector<std::optional<trace_result>>> slots(
-        prototypes.size(),
-        std::vector<std::optional<trace_result>>(traces.size()));
-
+    // Pre-sized result slots indexed by trace keep the output independent
+    // of worker completion order (determinism contract).
+    std::vector<std::vector<std::optional<trace_result>>> slots(traces.size());
     const unsigned jobs =
         opts_.jobs > 0 ? static_cast<unsigned>(opts_.jobs) : sim::jobs_from_env();
     sim::parallel_for(traces.size(), jobs, [&](std::size_t ti) {
-        const obs::stage_timer t_trace("engine.trace");
-        const trace_view view = build_view(traces[ti].first, *traces[ti].second, opts_);
-
-        std::optional<std::vector<bool>> excluded;
-        if (opts_.exclude_outliers) {
-            excluded = core::lso_scan(view.actuals, opts_.predictor.lso).is_outlier;
-        }
-
-        for (std::size_t pj = 0; pj < prototypes.size(); ++pj) {
-            if (view.actuals.size() < prototypes[pj]->min_trace_length()) continue;
-            const auto pred = prototypes[pj]->clone_empty();
-
-            trace_result tr;
-            tr.path_id = view.path_id;
-            tr.trace_id = view.trace_id;
-            score_walk(view.inputs, view.actuals, &view.recs, *pred, opts_.warmup,
-                       excluded ? &*excluded : nullptr, tr.epochs);
-            if (tr.epochs.empty()) continue;  // nothing scorable on this trace
-            tr.rmsre = rmsre_of_epochs(tr.epochs);
-            slots[pj][ti] = std::move(tr);
-        }
+        slots[ti] = score_trace(traces[ti].first, *traces[ti].second, prototypes, opts_);
     });
 
     static const obs::counter c_traces_scored = obs::counter::get("engine.traces_scored");
@@ -325,8 +330,8 @@ std::vector<predictor_result> evaluation_engine::run(
     std::vector<predictor_result> out(prototypes.size());
     for (std::size_t pj = 0; pj < prototypes.size(); ++pj) {
         out[pj].name = prototypes[pj]->name();
-        for (auto& slot : slots[pj]) {
-            if (slot) out[pj].traces.push_back(std::move(*slot));
+        for (auto& slot : slots) {
+            if (slot[pj]) out[pj].traces.push_back(std::move(*slot[pj]));
         }
         out[pj].traces_unscored = traces.size() - out[pj].traces.size();
         c_traces_scored.add(out[pj].traces.size());
@@ -375,25 +380,11 @@ std::vector<double> downsample(const std::vector<double>& series, std::size_t fa
 }
 
 conditioned_rmsre rmsre_conditioned(const predictor_result& result) {
-    std::vector<double> clean, faulty, stale;
+    conditioned_fold fold;
     for (const auto& t : result.traces) {
-        for (const auto& e : t.epochs) {
-            if (e.rec == nullptr || e.rec->m.fault_flags == testbed::fault_none) {
-                clean.push_back(e.error);
-            } else {
-                faulty.push_back(e.error);
-            }
-            if (e.staleness > 0) stale.push_back(e.error);
-        }
+        for (const auto& e : t.epochs) fold_epoch(fold, e);
     }
-    conditioned_rmsre out;
-    out.rmsre_clean = core::rmsre(clean);
-    out.n_clean = clean.size();
-    out.rmsre_faulty = core::rmsre(faulty);
-    out.n_faulty = faulty.size();
-    out.rmsre_stale = core::rmsre(stale);
-    out.n_stale = stale.size();
-    return out;
+    return fold.result();
 }
 
 std::vector<double> stream_predictor_summary::trace_rmsres() const {
@@ -403,53 +394,30 @@ std::vector<double> stream_predictor_summary::trace_rmsres() const {
     return out;
 }
 
-stream_predictor_summary summarize(const predictor_result& result,
-                                   bool keep_epoch_errors) {
-    stream_predictor_summary s;
-    s.name = result.name;
-    s.traces.reserve(result.traces.size());
-    for (const auto& t : result.traces) {
-        s.traces.push_back(
-            stream_trace_rmsre{t.path_id, t.trace_id, t.rmsre, t.epochs.size()});
-    }
-    s.traces_unscored = result.traces_unscored;
-    s.conditioned = rmsre_conditioned(result);
-    if (keep_epoch_errors) s.epoch_errors = result.epoch_errors();
-    return s;
-}
-
 std::vector<stream_predictor_summary> evaluate_stream(
     const record_source& source, const std::vector<std::string>& specs,
     const stream_eval_options& opts) {
     const engine_options& eopts = opts.engine;
-    if (eopts.downsample == 0) {
-        throw std::invalid_argument("evaluate_stream: downsample must be >= 1");
-    }
-    std::vector<std::unique_ptr<core::predictor>> owned;
-    owned.reserve(specs.size());
-    for (const auto& spec : specs) {
-        owned.push_back(core::make_predictor(spec, eopts.predictor));
+    require_downsample(eopts);
+    const prototype_set prototypes = make_prototypes(specs, eopts.predictor);
+
+    std::vector<bool> keep(specs.size(), false);
+    for (const std::size_t i : opts.keep_epoch_errors) {
+        if (i >= specs.size()) {
+            throw std::invalid_argument(
+                "evaluate_stream: keep_epoch_errors index " + std::to_string(i) +
+                " is out of range for " + std::to_string(specs.size()) + " specs");
+        }
+        keep[i] = true;
     }
 
     std::vector<stream_predictor_summary> out(specs.size());
-    // Running conditioned-RMSRE sums, folded in the exact order
-    // rmsre_conditioned encounters errors (traces, then epochs): since
-    // core::rmsre is a left fold of e², finishing with sqrt(sum/n) is
-    // bitwise identical to collecting the vectors.
-    struct cond_accum {
-        double clean_sq{0.0};
-        std::size_t n_clean{0};
-        double faulty_sq{0.0};
-        std::size_t n_faulty{0};
-        double stale_sq{0.0};
-        std::size_t n_stale{0};
-    };
-    std::vector<cond_accum> cond(specs.size());
-    std::vector<bool> keep(specs.size(), false);
-    for (const std::size_t i : opts.keep_epoch_errors) {
-        if (i < specs.size()) keep[i] = true;
+    for (std::size_t pj = 0; pj < specs.size(); ++pj) {
+        out[pj].name = prototypes.ptrs[pj]->name();
     }
-    for (std::size_t pj = 0; pj < specs.size(); ++pj) out[pj].name = owned[pj]->name();
+    // Folded in the order rmsre_conditioned meets the errors (traces, then
+    // epochs), so the result is bitwise the in-memory one.
+    std::vector<conditioned_fold> cond(specs.size());
 
     static const obs::counter c_traces_scored = obs::counter::get("engine.traces_scored");
     static const obs::counter c_traces_unscored =
@@ -463,38 +431,18 @@ std::vector<stream_predictor_summary> evaluate_stream(
     const auto flush_trace = [&] {
         if (trace_recs.empty()) return;
         ++n_traces_seen;
-        const obs::stage_timer t_trace("engine.trace");
         std::vector<const testbed::epoch_record*> recs;
         recs.reserve(trace_recs.size());
         for (const auto& r : trace_recs) recs.push_back(&r);
-        const trace_view view = build_view({cur_path, cur_trace}, recs, eopts);
-
-        std::optional<std::vector<bool>> excluded;
-        if (eopts.exclude_outliers) {
-            excluded = core::lso_scan(view.actuals, eopts.predictor.lso).is_outlier;
-        }
-
-        for (std::size_t pj = 0; pj < owned.size(); ++pj) {
-            if (view.actuals.size() < owned[pj]->min_trace_length()) continue;
-            const auto pred = owned[pj]->clone_empty();
-            std::vector<epoch_score> epochs;
-            score_walk(view.inputs, view.actuals, &view.recs, *pred, eopts.warmup,
-                       excluded ? &*excluded : nullptr, epochs);
-            if (epochs.empty()) continue;  // nothing scorable on this trace
-            out[pj].traces.push_back(stream_trace_rmsre{
-                cur_path, cur_trace, rmsre_of_epochs(epochs), epochs.size()});
-            for (const auto& e : epochs) {
-                if (e.rec == nullptr || e.rec->m.fault_flags == testbed::fault_none) {
-                    cond[pj].clean_sq += e.error * e.error;
-                    ++cond[pj].n_clean;
-                } else {
-                    cond[pj].faulty_sq += e.error * e.error;
-                    ++cond[pj].n_faulty;
-                }
-                if (e.staleness > 0) {
-                    cond[pj].stale_sq += e.error * e.error;
-                    ++cond[pj].n_stale;
-                }
+        const auto scored =
+            score_trace({cur_path, cur_trace}, recs, prototypes.ptrs, eopts);
+        for (std::size_t pj = 0; pj < scored.size(); ++pj) {
+            if (!scored[pj]) continue;
+            const trace_result& tr = *scored[pj];
+            out[pj].traces.push_back(
+                stream_trace_rmsre{tr.path_id, tr.trace_id, tr.rmsre, tr.forecasts()});
+            for (const auto& e : tr.epochs) {
+                fold_epoch(cond[pj], e);
                 if (keep[pj]) out[pj].epoch_errors.push_back(e.error);
             }
         }
@@ -514,18 +462,9 @@ std::vector<stream_predictor_summary> evaluate_stream(
     }
     flush_trace();
 
-    const auto finish = [](double sq, std::size_t n) {
-        return n == 0 ? std::numeric_limits<double>::quiet_NaN()
-                      : std::sqrt(sq / static_cast<double>(n));
-    };
     for (std::size_t pj = 0; pj < specs.size(); ++pj) {
         out[pj].traces_unscored = n_traces_seen - out[pj].traces.size();
-        out[pj].conditioned.rmsre_clean = finish(cond[pj].clean_sq, cond[pj].n_clean);
-        out[pj].conditioned.n_clean = cond[pj].n_clean;
-        out[pj].conditioned.rmsre_faulty = finish(cond[pj].faulty_sq, cond[pj].n_faulty);
-        out[pj].conditioned.n_faulty = cond[pj].n_faulty;
-        out[pj].conditioned.rmsre_stale = finish(cond[pj].stale_sq, cond[pj].n_stale);
-        out[pj].conditioned.n_stale = cond[pj].n_stale;
+        out[pj].conditioned = cond[pj].result();
         c_traces_scored.add(out[pj].traces.size());
         c_traces_unscored.add(out[pj].traces_unscored);
     }
@@ -557,9 +496,7 @@ std::vector<cov_rmsre_point> cov_vs_rmsre(const testbed::dataset& data,
         std::vector<double> series;
         series.reserve(recs.size());
         for (const testbed::epoch_record* r : recs) {
-            series.push_back(testbed::actual_faulty(r->m.fault_flags)
-                                 ? std::numeric_limits<double>::quiet_NaN()
-                                 : r->m.r_large_bps);
+            series.push_back(view_of_record(*r).actual_bps);
         }
         if (series.size() < 3) continue;
 

@@ -7,6 +7,11 @@
 // masked throughput series for HB-style ones, and fault-flagged epochs
 // reach predictors uniformly as observe_gap()/failed-measurement inputs.
 //
+// One per-trace pipeline (view → optional LSO exclusion → clone → walk →
+// score) has two callers: evaluation_engine runs it over an in-memory
+// dataset's traces in parallel, evaluate_stream runs it serially over a
+// record cursor, one trace resident at a time.
+//
 // Determinism (DESIGN.md §6): traces are processed in dataset::traces()
 // order, results land in pre-sized slots indexed by trace, and every
 // predictor is cloned fresh per trace — so the output is byte-identical for
@@ -20,6 +25,7 @@
 #include <vector>
 
 #include "core/lso.hpp"
+#include "core/metrics.hpp"
 #include "core/predictor.hpp"
 #include "core/predictor_registry.hpp"
 #include "testbed/dataset.hpp"
@@ -70,10 +76,11 @@ struct record_view {
 /// The stateless per-record slice of the engine's view building, honouring
 /// the stateless engine_options switches (use_during_flow, use_event_loss,
 /// small_window) and ignoring the cross-epoch ones (smooth_inputs,
-/// downsample, which need trace context). The engine itself routes every
-/// non-smoothed epoch through this function, so an online consumer — the
-/// serve daemon replaying an observation stream — sees bitwise-identical
-/// inputs to an offline engine run over the same records by construction.
+/// downsample, which need trace context). The engine projects every epoch
+/// through the same code (a smoothed epoch only swaps in averaged inputs),
+/// so an online consumer — the serve daemon replaying an observation
+/// stream — sees bitwise-identical inputs to an offline engine run over the
+/// same records by construction.
 [[nodiscard]] record_view view_of_record(const testbed::epoch_record& rec,
                                          const engine_options& opts = {});
 
@@ -189,6 +196,16 @@ struct conditioned_rmsre {
 };
 [[nodiscard]] conditioned_rmsre rmsre_conditioned(const predictor_result& result);
 
+/// The running form of conditioned_rmsre: one RMSRE fold per measurement
+/// status, plus one over every error. Folding the errors in scoring order
+/// gives bitwise the same values as collecting them (core::rmsre_fold).
+struct conditioned_fold {
+    core::rmsre_fold all, clean, faulty, stale;
+
+    void add(double error, bool is_faulty, bool is_stale) noexcept;
+    [[nodiscard]] conditioned_rmsre result() const noexcept;
+};
+
 /// Pull-based record source for evaluate_stream: fill `out` with the next
 /// record and return true, or return false at end of data. Records must
 /// arrive grouped by (path, trace) in ascending (path, trace) order — the
@@ -207,10 +224,9 @@ struct stream_trace_rmsre {
 
 /// One predictor's summary from a streamed evaluation: everything the
 /// analysis tools print, at O(traces) memory instead of O(epochs).
-/// Bitwise-identical to summarize() of the in-memory engine's
-/// predictor_result on the same records (the equivalence the stream tests
-/// pin): same per-trace RMSREs, same conditioned aggregation, same optional
-/// epoch-error list.
+/// Bitwise-identical to the in-memory engine's predictor_result on the same
+/// records (the equivalence the stream tests pin): same per-trace RMSREs,
+/// same rmsre_conditioned, same epoch_errors().
 struct stream_predictor_summary {
     std::string name;  ///< canonical spec (predictor::name())
     std::vector<stream_trace_rmsre> traces;
@@ -230,25 +246,21 @@ struct stream_eval_options {
     /// by construction — and the engine's determinism contract makes the
     /// result identical to any parallel in-memory run anyway.
     engine_options engine{};
-    /// Indices into the spec list whose per-epoch errors to keep.
+    /// Indices into the spec list whose per-epoch errors to keep; an index
+    /// past the spec list throws std::invalid_argument.
     std::vector<std::size_t> keep_epoch_errors{};
 };
 
 /// One-pass streaming evaluation: pull records from `source`, buffer ONE
-/// (path, trace) series at a time, and on each trace boundary run exactly
-/// the engine's per-trace pipeline (build_view → optional LSO scan →
-/// clone_empty → score_walk) for every spec, folding per-trace RMSREs and
+/// (path, trace) series at a time, and on each trace boundary run the
+/// engine's per-trace pipeline for every spec, folding per-trace RMSREs and
 /// the conditioned error sums incrementally. Peak memory is O(longest trace
 /// + traces·specs), independent of the dataset size. Throws
-/// core::predictor_spec_error on a bad spec before pulling any record.
+/// core::predictor_spec_error on a bad spec, and std::invalid_argument on a
+/// bad option, before pulling any record.
 [[nodiscard]] std::vector<stream_predictor_summary> evaluate_stream(
     const record_source& source, const std::vector<std::string>& specs,
     const stream_eval_options& opts = {});
-
-/// Collapse an in-memory predictor_result to the streamed summary form —
-/// the bridge that lets one report printer serve both evaluation paths.
-[[nodiscard]] stream_predictor_summary summarize(const predictor_result& result,
-                                                 bool keep_epoch_errors);
 
 /// Per-path error distribution summary (Fig. 7).
 struct path_error_summary {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <span>
 
@@ -43,17 +44,34 @@ inline constexpr double k_min_error_denominator_bps = 1e3;
     return relative_error(predicted.value(), actual.value());
 }
 
+/// Root Mean Square Relative Error (Eq. 5) as a running fold: Σe² and a
+/// count, one error at a time. rmsre() below is this fold over a span, so
+/// folding the same errors in the same order gives the same bits without
+/// keeping them.
+struct rmsre_fold {
+    double sum_sq{0.0};
+    std::size_t n{0};
+
+    void add(double e) noexcept {
+        sum_sq += e * e;
+        ++n;
+    }
+    /// An empty series has NO error, not zero error: zero would score an
+    /// all-faulty or all-warmup trace as a perfect forecast. Returns NaN so
+    /// the absence of evidence propagates visibly; consumers that tabulate
+    /// RMSREs render it as "n/a" (evaluation_engine drops unscored traces
+    /// from its per-trace output and counts them instead).
+    [[nodiscard]] double value() const noexcept {
+        if (n == 0) return std::numeric_limits<double>::quiet_NaN();
+        return std::sqrt(sum_sq / static_cast<double>(n));
+    }
+};
+
 /// Root Mean Square Relative Error (Eq. 5) over a series of relative errors.
-/// An empty series has NO error, not zero error: zero would score an
-/// all-faulty or all-warmup trace as a perfect forecast. Returns NaN so the
-/// absence of evidence propagates visibly; consumers that tabulate RMSREs
-/// render it as "n/a" (evaluation_engine drops unscored traces from its
-/// per-trace output and counts them instead).
 [[nodiscard]] inline double rmsre(std::span<const double> errors) noexcept {
-    if (errors.empty()) return std::numeric_limits<double>::quiet_NaN();
-    double sum = 0.0;
-    for (const double e : errors) sum += e * e;
-    return std::sqrt(sum / static_cast<double>(errors.size()));
+    rmsre_fold f;
+    for (const double e : errors) f.add(e);
+    return f.value();
 }
 
 }  // namespace tcppred::core

@@ -5,14 +5,13 @@
 # Verifies the exit-code convention (0 ok / 1 bad args / 2 runtime failure /
 # 130 interrupted), that diagnostics land on stderr, and the fault +
 # interrupt + --resume byte-identity guarantee end to end. Also drives a
-# figure bench and tools/bench_report.sh from the same build tree.
+# figure bench and the daemon from the same build tree.
 set -u
 
 CAMPAIGN=${1:?usage: cli_test.sh CAMPAIGN_BIN ANALYZE_BIN}
 ANALYZE=${2:?usage: cli_test.sh CAMPAIGN_BIN ANALYZE_BIN}
 # The build tree the tools came from (<build>/tools/tcppred_campaign).
 BUILD_DIR=$(cd "$(dirname "$CAMPAIGN")/.." && pwd)
-SRC_DIR=$(cd "$(dirname "$0")/.." && pwd)
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 FAILURES=0
@@ -294,18 +293,6 @@ printf 'tcppred-checkpoint,v1\nfingerprint,v2\ntotal,6\nrec,1,3x\n' > "$WORK/leg
 check_exit "resume from a retired row-format checkpoint" 2 $?
 grep -q "tcppred-checkpoint,v1" "$WORK/legacy.err" || { echo "FAIL: legacy checkpoint refusal does not name the format"; FAILURES=$((FAILURES+1)); }
 [ -e "$WORK/legacy.csv" ] && { echo "FAIL: resume from a legacy checkpoint wrote a CSV"; FAILURES=$((FAILURES+1)); }
-
-# bench_report.sh creates a missing --out-dir (CI passes a fresh path).
-"$SRC_DIR/tools/bench_report.sh" --build-dir "$BUILD_DIR" --out-dir "$WORK/fresh/perf" >/dev/null 2>"$WORK/bench_report.err"
-check_exit "bench_report.sh into a nonexistent --out-dir" 0 $?
-for f in BENCH_scheduler.json BENCH_campaign.json BENCH_record_store.json BENCH_serve.json; do
-    [ -s "$WORK/fresh/perf/$f" ] || { echo "FAIL: bench_report.sh did not write $f"; FAILURES=$((FAILURES+1)); }
-done
-# The perf-smoke gate accepts what bench_report.sh writes (repeated
-# campaign runs summarized as median/min/max).
-python3 "$SRC_DIR/tools/check_bench_regression.py" "$WORK/fresh/perf" "$WORK/fresh/perf" \
-    >/dev/null 2>"$WORK/bench_gate.err"
-check_exit "check_bench_regression.py on a fresh bench_report.sh output" 0 $?
 
 if [ "$FAILURES" -ne 0 ]; then
     echo "$FAILURES CLI contract check(s) failed"

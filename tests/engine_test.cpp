@@ -1,13 +1,17 @@
 // The streaming evaluation engine and its series-level scoring loop
 // (analysis/evaluation.hpp): warmup/outlier/index semantics of
 // evaluate_series, gap handling for fault-flagged epochs, and the
-// determinism contract (byte-identical results for any jobs value).
+// determinism contract (byte-identical results for any jobs value), and
+// the streamed evaluation (evaluate_stream) against the in-memory engine on
+// every engine option.
 #include "analysis/evaluation.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ios>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,8 @@
 #include "core/lso.hpp"
 #include "core/predictor.hpp"
 #include "core/units.hpp"
+#include "sim/fault_injector.hpp"
+#include "testbed/campaign.hpp"
 #include "testbed/dataset.hpp"
 
 namespace tcppred::analysis {
@@ -257,6 +263,148 @@ TEST(engine_contract, short_traces_are_omitted_for_history_predictors) {
         evaluation_engine{}.run(data, std::vector<std::string>{"10-MA", "fb:pftk"});
     EXPECT_TRUE(results[0].traces.empty());   // HB: trace too short
     EXPECT_EQ(results[1].traces.size(), 1u);  // FB: scored from epoch 0
+}
+
+// ---- evaluate_stream == evaluation_engine on every engine option --------
+
+/// A small faulted campaign (every fault class), with traces long enough
+/// that a 10-epoch smoothing window differs from a 3-epoch one.
+const dataset& faulted_campaign() {
+    static const dataset data = [] {
+        testbed::campaign_config cfg;
+        cfg.paths = 3;
+        cfg.traces_per_path = 2;
+        cfg.epochs_per_trace = 14;
+        cfg.jobs = 1;
+        cfg.epoch.warmup = core::seconds{0.5};
+        cfg.epoch.prior_ping.count = 60;
+        cfg.epoch.transfer = core::seconds{1.5};
+        cfg.faults =
+            sim::fault_profile::parse("pathload=0.15,ping-truncate=0.1,abort=0.15");
+        return testbed::run_campaign(cfg);
+    }();
+    return data;
+}
+
+/// Bitwise equality, with NaN equal to NaN (an empty conditioned class).
+void expect_same(double got, double want) {
+    if (std::isnan(got) && std::isnan(want)) return;
+    EXPECT_EQ(got, want) << std::hexfloat << got << " vs " << want;
+}
+
+const std::vector<std::string> k_axis_specs{"fb:pftk", "10-MA-LSO", "0.8-HW-LSO"};
+
+std::vector<stream_predictor_summary> stream_in_trace_order(const dataset& data,
+                                                            const engine_options& opts) {
+    std::vector<const epoch_record*> ordered;
+    for (const auto& [key, recs] : data.traces()) {
+        ordered.insert(ordered.end(), recs.begin(), recs.end());
+    }
+    std::size_t pos = 0;
+    stream_eval_options so;
+    so.engine = opts;
+    so.keep_epoch_errors = {0, 1, 2};
+    return evaluate_stream(
+        [&](epoch_record& out) {
+            if (pos >= ordered.size()) return false;
+            out = *ordered[pos++];
+            return true;
+        },
+        k_axis_specs, so);
+}
+
+/// One engine option set alone, with hexfloat goldens pinned from the
+/// engine before its two callers shared one per-trace pipeline.
+struct axis_case {
+    const char* axis;
+    engine_options opts;
+    double fb_clean;        ///< fb:pftk RMSRE over clean epochs
+    double fb_faulty;       ///< fb:pftk RMSRE over fault-flagged epochs
+    double hw_clean;        ///< 0.8-HW-LSO RMSRE over clean epochs
+    std::size_t fb_epochs;  ///< scored fb:pftk epochs
+};
+
+TEST(engine_axes, stream_matches_engine_bitwise_on_every_option) {
+    const dataset& data = faulted_campaign();
+    const std::vector<axis_case> cases{
+        {"default", {}, 0x1.5c906e65382bap+0, 0x1.c225ba1a2c61ep-1,
+         0x1.e21c7ae9425f3p-1, 75},
+        {"use_during_flow", {.use_during_flow = true},
+         0x1.87056d7b79c3p+3, 0x1.df74de0720c2cp+2, 0x1.e21c7ae9425f3p-1, 75},
+        {"use_event_loss", {.use_event_loss = true},
+         0x1.2001013214c01p+0, 0x1.c225ba1a2c61ep-1, 0x1.e21c7ae9425f3p-1, 75},
+        {"small_window", {.small_window = true},
+         0x1.772803136ebcap+1, 0x1.2a09f7743203ep-1, 0x1.df4a826dc3878p+0, 75},
+        {"warmup=3", {.warmup = 3},
+         0x1.76f5873147543p+0, 0x1.a0f363ca8b386p-1, 0x1.ff6cd8df6b7f3p-1, 60},
+        {"exclude_outliers", {.exclude_outliers = true},
+         0x1.605e755686d36p+0, 0x1.e25ab55cadea3p-1, 0x1.787046bd72908p-1, 61},
+        {"smooth_inputs w=3", {.smooth_inputs = true, .smooth_window = 3},
+         0x1.015cd81ca1baap+0, 0x1.7b83f5e739d2bp+0, 0x1.e21c7ae9425f3p-1, 75},
+        {"smooth_inputs w=10", {.smooth_inputs = true, .smooth_window = 10},
+         0x1.d0d73577b628dp-1, 0x1.d0d6ef26569f3p-1, 0x1.e21c7ae9425f3p-1, 75},
+        {"downsample=2", {.downsample = 2},
+         0x1.790ebb7f6a85dp+0, 0x1.ece271aece245p-1, 0x1.8a3ea7dffe148p-1, 35},
+    };
+
+    for (const axis_case& c : cases) {
+        SCOPED_TRACE(c.axis);
+        const auto streamed = stream_in_trace_order(data, c.opts);
+        ASSERT_EQ(streamed.size(), k_axis_specs.size());
+
+        for (const int jobs : {1, 4}) {
+            SCOPED_TRACE(jobs);
+            engine_options opts = c.opts;
+            opts.jobs = jobs;
+            const auto results = evaluation_engine{opts}.run(data, k_axis_specs);
+            ASSERT_EQ(results.size(), streamed.size());
+            for (std::size_t i = 0; i < results.size(); ++i) {
+                const auto& s = streamed[i];
+                const auto& r = results[i];
+                EXPECT_EQ(s.name, r.name);
+                EXPECT_EQ(s.traces_unscored, r.traces_unscored);
+                ASSERT_EQ(s.traces.size(), r.traces.size());
+                for (std::size_t t = 0; t < r.traces.size(); ++t) {
+                    EXPECT_EQ(s.traces[t].path_id, r.traces[t].path_id);
+                    EXPECT_EQ(s.traces[t].trace_id, r.traces[t].trace_id);
+                    expect_same(s.traces[t].rmsre, r.traces[t].rmsre);
+                    EXPECT_EQ(s.traces[t].epochs, r.traces[t].forecasts());
+                }
+                const conditioned_rmsre cond = rmsre_conditioned(r);
+                expect_same(s.conditioned.rmsre_clean, cond.rmsre_clean);
+                EXPECT_EQ(s.conditioned.n_clean, cond.n_clean);
+                expect_same(s.conditioned.rmsre_faulty, cond.rmsre_faulty);
+                EXPECT_EQ(s.conditioned.n_faulty, cond.n_faulty);
+                expect_same(s.conditioned.rmsre_stale, cond.rmsre_stale);
+                EXPECT_EQ(s.conditioned.n_stale, cond.n_stale);
+                const auto errors = r.epoch_errors();
+                ASSERT_EQ(s.epoch_errors.size(), errors.size());
+                for (std::size_t e = 0; e < errors.size(); ++e) {
+                    expect_same(s.epoch_errors[e], errors[e]);
+                }
+            }
+        }
+
+        ASSERT_FALSE(streamed[0].traces.empty());
+        expect_same(streamed[0].conditioned.rmsre_clean, c.fb_clean);
+        expect_same(streamed[0].conditioned.rmsre_faulty, c.fb_faulty);
+        expect_same(streamed[2].conditioned.rmsre_clean, c.hw_clean);
+        EXPECT_EQ(streamed[0].epoch_errors.size(), c.fb_epochs);
+    }
+}
+
+TEST(stream_contract, bad_keep_epoch_errors_index_throws_before_pulling) {
+    bool pulled = false;
+    stream_eval_options so;
+    so.keep_epoch_errors = {2};
+    EXPECT_THROW(evaluate_stream(
+                     [&](epoch_record&) {
+                         pulled = true;
+                         return false;
+                     },
+                     std::vector<std::string>{"10-MA", "fb:pftk"}, so),
+                 std::invalid_argument);
+    EXPECT_FALSE(pulled);
 }
 
 }  // namespace

@@ -390,7 +390,7 @@ TEST_F(record_store, evaluate_stream_matches_engine_bitwise) {
 
     ASSERT_EQ(streamed.size(), results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto expected = analysis::summarize(results[i], true);
+        const auto& expected = results[i];
         EXPECT_EQ(streamed[i].name, expected.name);
         EXPECT_EQ(streamed[i].traces_unscored, expected.traces_unscored);
         ASSERT_EQ(streamed[i].traces.size(), expected.traces.size());
@@ -398,21 +398,20 @@ TEST_F(record_store, evaluate_stream_matches_engine_bitwise) {
             EXPECT_EQ(streamed[i].traces[t].path_id, expected.traces[t].path_id);
             EXPECT_EQ(streamed[i].traces[t].trace_id, expected.traces[t].trace_id);
             expect_double_equal(streamed[i].traces[t].rmsre, expected.traces[t].rmsre);
-            EXPECT_EQ(streamed[i].traces[t].epochs, expected.traces[t].epochs);
+            EXPECT_EQ(streamed[i].traces[t].epochs, expected.traces[t].forecasts());
         }
-        ASSERT_EQ(streamed[i].epoch_errors.size(), expected.epoch_errors.size());
-        for (std::size_t e = 0; e < expected.epoch_errors.size(); ++e) {
-            expect_double_equal(streamed[i].epoch_errors[e], expected.epoch_errors[e]);
+        const auto errors = expected.epoch_errors();
+        ASSERT_EQ(streamed[i].epoch_errors.size(), errors.size());
+        for (std::size_t e = 0; e < errors.size(); ++e) {
+            expect_double_equal(streamed[i].epoch_errors[e], errors[e]);
         }
-        expect_double_equal(streamed[i].conditioned.rmsre_clean,
-                            expected.conditioned.rmsre_clean);
-        EXPECT_EQ(streamed[i].conditioned.n_clean, expected.conditioned.n_clean);
-        expect_double_equal(streamed[i].conditioned.rmsre_faulty,
-                            expected.conditioned.rmsre_faulty);
-        EXPECT_EQ(streamed[i].conditioned.n_faulty, expected.conditioned.n_faulty);
-        expect_double_equal(streamed[i].conditioned.rmsre_stale,
-                            expected.conditioned.rmsre_stale);
-        EXPECT_EQ(streamed[i].conditioned.n_stale, expected.conditioned.n_stale);
+        const auto cond = analysis::rmsre_conditioned(expected);
+        expect_double_equal(streamed[i].conditioned.rmsre_clean, cond.rmsre_clean);
+        EXPECT_EQ(streamed[i].conditioned.n_clean, cond.n_clean);
+        expect_double_equal(streamed[i].conditioned.rmsre_faulty, cond.rmsre_faulty);
+        EXPECT_EQ(streamed[i].conditioned.n_faulty, cond.n_faulty);
+        expect_double_equal(streamed[i].conditioned.rmsre_stale, cond.rmsre_stale);
+        EXPECT_EQ(streamed[i].conditioned.n_stale, cond.n_stale);
     }
 }
 

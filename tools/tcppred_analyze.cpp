@@ -2,8 +2,8 @@
 // accuracy per predictor, and per-path predictability classes. The
 // command-line counterpart of the per-figure benches for ad-hoc datasets.
 // Every predictor is built from its registry spec (core::make_predictor)
-// and all of them are evaluated in ONE streaming pass over the dataset
-// (analysis::evaluation_engine).
+// and all of them are evaluated in ONE streaming pass over the records
+// (analysis::evaluate_stream), whichever input they come from.
 //
 //   tcppred_analyze DATASET.csv [--predictors SPEC,SPEC,...]
 //                   [--trace FILE] [--metrics-summary]
@@ -11,10 +11,10 @@
 //   tcppred_analyze --from-trace RUN.jsonl
 //
 // --from-store streams a chunked record store (tcppred_campaign
-// --format store) through analysis::evaluate_stream — one trace resident
-// at a time, never the dataset — and prints a report byte-identical to
-// analyzing the store's CSV conversion (records are CSV-normalized on the
-// fly so the lossy decimal round-trip matches).
+// --format store) — one trace resident at a time, never the dataset — and
+// prints a report byte-identical to analyzing the store's CSV conversion
+// (records are CSV-normalized on the fly so the lossy decimal round-trip
+// matches).
 //
 // --from-trace re-derives the fault-conditioned RMSRE table from a JSONL
 // run trace (tcppred_campaign/tcppred_analyze --trace, $REPRO_TRACE)
@@ -83,10 +83,9 @@ struct dataset_counts {
     std::size_t faulty{0};
 };
 
-/// The one report printer both evaluation paths share: the in-memory engine
-/// path collapses its predictor_results with analysis::summarize, the
-/// --from-store path gets summaries straight from evaluate_stream — so the
-/// two modes produce byte-identical stdout on the same records.
+/// The one report printer: both inputs (a loaded CSV and --from-store) reach
+/// it through the same evaluate_stream pass, so the two modes produce
+/// byte-identical stdout on the same records.
 void print_report(const dataset_counts& counts,
                   const std::vector<std::string>& all_specs,
                   const std::vector<std::string>& specs,
@@ -182,14 +181,9 @@ void print_report(const dataset_counts& counts,
     }
 }
 
-/// Per-predictor accumulation of "predict" events from a run trace.
-struct trace_tally {
-    std::vector<double> all, clean, faulty, stale;
-};
-
 int analyze_from_trace(const std::string& file) {
     const std::vector<obs::trace_event> events = obs::read_trace_file(file);
-    std::map<std::string, trace_tally> per_predictor;
+    std::map<std::string, analysis::conditioned_fold> per_predictor;
     std::size_t predict_events = 0;
     for (const obs::trace_event& ev : events) {
         if (std::get<std::string>(ev.at("ev")) != "predict") continue;
@@ -211,15 +205,13 @@ int analyze_from_trace(const std::string& file) {
         if (pred_it == ev.end()) {
             throw std::runtime_error(file + ": predict event missing \"predictor\"");
         }
-        trace_tally& t = per_predictor[std::get<std::string>(pred_it->second)];
+        analysis::conditioned_fold& fold =
+            per_predictor[std::get<std::string>(pred_it->second)];
+        // Read in a fixed order, so an event missing several keys always
+        // names the same one.
         const double error = field("error");
-        t.all.push_back(error);
-        if (field("fault_flags") != 0.0) {
-            t.faulty.push_back(error);
-        } else {
-            t.clean.push_back(error);
-        }
-        if (field("staleness") > 0.0) t.stale.push_back(error);
+        const bool faulty = field("fault_flags") != 0.0;
+        fold.add(error, faulty, field("staleness") > 0.0);
     }
 
     std::printf("trace %s: %zu events, %zu predict events, %zu predictors\n\n",
@@ -227,12 +219,13 @@ int analyze_from_trace(const std::string& file) {
     std::printf("RMSRE by measurement status (re-derived from trace):\n");
     std::printf("  %-14s %-16s %-16s %-16s %-16s\n", "predictor", "all", "clean",
                 "faulty", "stale-input");
-    for (const auto& [name, t] : per_predictor) {
+    const auto cell = [](const core::rmsre_fold& f) {
+        return fmt_rmsre(f.value(), f.n);
+    };
+    for (const auto& [name, f] : per_predictor) {
         std::printf("  %-14s %-16s %-16s %-16s %-16s\n", name.c_str(),
-                    fmt_rmsre(core::rmsre(t.all), t.all.size()).c_str(),
-                    fmt_rmsre(core::rmsre(t.clean), t.clean.size()).c_str(),
-                    fmt_rmsre(core::rmsre(t.faulty), t.faulty.size()).c_str(),
-                    fmt_rmsre(core::rmsre(t.stale), t.stale.size()).c_str());
+                    cell(f.all).c_str(), cell(f.clean).c_str(), cell(f.faulty).c_str(),
+                    cell(f.stale).c_str());
     }
     if (per_predictor.empty()) std::printf("  (no predict events in trace)\n");
     return 0;
@@ -345,40 +338,48 @@ int main(int argc, char** argv) {
         }
         all_specs.insert(all_specs.end(), specs.begin(), specs.end());
 
-        if (!from_store.empty()) {
-            // Streamed path: records flow store → CSV-normalization →
-            // evaluate_stream one trace at a time. The normalization applies
-            // the same lossy precision-10 decimal round-trip loading the
-            // store's CSV conversion would, so the report is byte-identical
-            // to the in-memory path on that CSV.
-            testbed::record_reader reader(from_store);
-            const dataset_counts counts{reader.total(), reader.catalog_lines().size(),
-                                        reader.n_traces(), reader.n_faulted()};
+        const auto report = [&](const dataset_counts& counts,
+                                const analysis::record_source& source) {
             analysis::stream_eval_options sopts;
             sopts.keep_epoch_errors = {0};
-            const auto summaries = analysis::evaluate_stream(
-                [&](testbed::epoch_record& out) {
-                    if (!reader.next(out)) return false;
-                    out = testbed::csv_normalized_record(out);
-                    return true;
-                },
-                all_specs, sopts);
-            print_report(counts, all_specs, specs, summaries);
+            print_report(counts, all_specs, specs,
+                         analysis::evaluate_stream(source, all_specs, sopts));
+        };
+        if (!from_store.empty()) {
+            // Records flow store → CSV-normalization → evaluate_stream one
+            // trace at a time. The normalization applies the same lossy
+            // precision-10 decimal round-trip loading the store's CSV
+            // conversion would, so the report is byte-identical to the
+            // report on that CSV.
+            testbed::record_reader reader(from_store);
+            report({reader.total(), reader.catalog_lines().size(), reader.n_traces(),
+                    reader.n_faulted()},
+                   [&](testbed::epoch_record& out) {
+                       if (!reader.next(out)) return false;
+                       out = testbed::csv_normalized_record(out);
+                       return true;
+                   });
         } else {
             const testbed::dataset data = testbed::load_csv(input);
             std::size_t faulty_epochs = 0;
             for (const auto& r : data.records) {
                 faulty_epochs += r.m.fault_flags != testbed::fault_none;
             }
-            const dataset_counts counts{data.records.size(), data.paths.size(),
-                                        data.traces().size(), faulty_epochs};
-            const auto results = analysis::evaluation_engine{}.run(data, all_specs);
-            std::vector<analysis::stream_predictor_summary> summaries;
-            summaries.reserve(results.size());
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                summaries.push_back(analysis::summarize(results[i], i == 0));
-            }
-            print_report(counts, all_specs, specs, summaries);
+            // The loaded records reach evaluate_stream in traces() order:
+            // grouped by (path, trace), ascending.
+            const auto traces = data.traces();
+            auto trace = traces.begin();
+            std::size_t pos = 0;
+            report({data.records.size(), data.paths.size(), traces.size(), faulty_epochs},
+                   [&](testbed::epoch_record& out) {
+                       while (trace != traces.end() && pos == trace->second.size()) {
+                           ++trace;
+                           pos = 0;
+                       }
+                       if (trace == traces.end()) return false;
+                       out = *trace->second[pos++];
+                       return true;
+                   });
         }
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
