@@ -116,9 +116,7 @@ trace_view build_view(const std::vector<const testbed::epoch_record*>& recs,
                 }
                 seen = {ps / static_cast<double>(n), ts / static_cast<double>(n)};
             }
-            // The history keeps the raw probe loss rate even under
-            // use_event_loss.
-            hist.push_back({opts.use_during_flow ? m.ptilde : m.phat, raw.rtt_s});
+            hist.push_back(raw);
         }
         const record_view rv = project(*rec, failed, seen, opts);
         v.inputs.push_back(rv.inputs);

@@ -80,7 +80,7 @@ double parse_checked_double(std::string_view knob, std::string_view text, double
 }
 
 std::size_t parse_checked_choice(std::string_view knob, std::string_view text,
-                                 std::initializer_list<std::string_view> choices) {
+                                 const std::vector<std::string_view>& choices) {
     std::string expected = "expected one of";
     std::size_t i = 0;
     for (const std::string_view choice : choices) {

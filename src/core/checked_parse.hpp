@@ -14,10 +14,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace tcppred::core {
 
@@ -62,6 +62,6 @@ private:
 /// Parse `text` as exactly one of `choices` (case-sensitive, whole token)
 /// and return its index in the list. The rejection names every choice.
 [[nodiscard]] std::size_t parse_checked_choice(std::string_view knob, std::string_view text,
-                                               std::initializer_list<std::string_view> choices);
+                                               const std::vector<std::string_view>& choices);
 
 }  // namespace tcppred::core

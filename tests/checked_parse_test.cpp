@@ -8,9 +8,16 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "core/cli.hpp"
+#include "core/contracts.hpp"
 
 using namespace tcppred::core;
+namespace cli = tcppred::core::cli;
 
 TEST(parse_checked_int, accepts_plain_decimals_in_range) {
     EXPECT_EQ(parse_checked_int("--paths", "35", 1, 1000), 35);
@@ -104,5 +111,73 @@ TEST(parse_checked_choice, rejects_anything_else_naming_knob_text_and_choices) {
         EXPECT_EQ(e.text(), "garbage");
         const std::string msg = e.what();
         EXPECT_NE(msg.find("packet, fluid"), std::string::npos) << msg;
+    }
+}
+
+// The flag table (core/cli.hpp) every tool parses its command line with.
+
+TEST(cli_table, duplicate_flag_name_is_a_contract_violation) {
+    int a = 0;
+    int b = 0;
+    EXPECT_THROW(cli::table("[options]", {{"--n", "N", "first", cli::integer(a, 0, 9)},
+                                          {"--n", "N", "second", cli::integer(b, 0, 9)}}),
+                 tcppred::contract_violation);
+}
+
+TEST(cli_table, generated_usage_contains_every_entry) {
+    int n = 0;
+    bool on = false;
+    std::string file;
+    std::vector<std::string> specs;
+    const std::vector<std::pair<std::string, std::string>> entries{
+        {"--count N", "how many"},
+        {"--verbose", "talk more"},
+        {"--out FILE", "where to write"},
+        {"--specs LIST", "spec list"}};
+    const cli::table t("--out FILE [options]",
+                       {{"--count", "N", "how many\nsecond help line", cli::integer(n, 0, 9)},
+                        {"--verbose", "", "talk more", cli::set(on)},
+                        {"--out", "FILE", "where to write", cli::text(file)},
+                        {"--specs", "LIST", "spec list", cli::list(specs)}});
+    const std::string usage = t.usage("prog");
+    EXPECT_EQ(usage.rfind("usage: prog --out FILE [options]\n", 0), 0u) << usage;
+    for (const auto& [label, help] : entries) {
+        EXPECT_NE(usage.find("  " + label + " "), std::string::npos) << label;
+        EXPECT_NE(usage.find(help + "\n"), std::string::npos) << help;
+    }
+    EXPECT_NE(usage.find("second help line\n"), std::string::npos) << usage;
+}
+
+TEST(cli_table, parse_binds_values_and_keeps_the_exit_contract) {
+    std::optional<int> n;
+    bool on = false;
+    std::string pos;
+    std::vector<std::string> specs{"default"};
+    cli::table t("[options]", {{"--n", "N", "a number", cli::integer(n, 1, 9)},
+                               {"--on", "", "a switch", cli::set(on)},
+                               {"--specs", "LIST", "a list", cli::list(specs)}});
+    t.positional(pos);
+    const auto run = [&](std::vector<const char*> args) {
+        args.insert(args.begin(), "prog");
+        return t.parse(static_cast<int>(args.size()), args.data());
+    };
+    EXPECT_FALSE(run({"--specs", "a,b", "x.csv", "--n", "3", "--on"}).has_value());
+    EXPECT_EQ(n, 3);
+    EXPECT_TRUE(on);
+    EXPECT_EQ(pos, "x.csv");
+    EXPECT_EQ(specs, (std::vector<std::string>{"a", "b"}));
+    ASSERT_EQ(t.consumed().size(), 3u);
+    EXPECT_EQ(t.consumed()[0].flag, "--specs");
+    EXPECT_EQ(t.consumed()[0].value, "a,b");
+    EXPECT_EQ(t.consumed()[2].flag, "--on");
+    EXPECT_EQ(t.consumed()[2].value, std::nullopt);
+
+    EXPECT_EQ(run({"--help"}), 0);
+    EXPECT_EQ(run({"--bogus"}), 1);
+    EXPECT_EQ(run({"--n"}), 1);
+    EXPECT_EQ(run({"y.csv"}), 1);  // pos already holds x.csv: an extra argument
+    EXPECT_EQ(run({"--n", "10"}), 2);
+    for (const char* bad : {"", ",", "a,,b", "a,", ",a"}) {
+        EXPECT_EQ(run({"--specs", bad}), 2) << bad;
     }
 }

@@ -106,6 +106,75 @@ done
 "$ANALYZE" >/dev/null 2>&1; check_exit "analyze without dataset" 1 $?
 "$ANALYZE" --help >/dev/null 2>&1; check_exit "analyze --help" 0 $?
 
+# --- the flag-table contract (core/cli.hpp), the same in all four tools:
+# unknown flag -> 1, missing value -> 1, malformed value -> 2 naming the
+# flag, --help -> 0 listing every flag of the tool's README table. The
+# serve cases carry no listen address, so none of them can start a daemon.
+SERVE="$BUILD_DIR/tools/tcppred_serve"
+LOADGEN="$BUILD_DIR/tools/tcppred_loadgen"
+README="$(cd "$(dirname "$0")/.." && pwd)/README.md"
+readme_flags() {  # tool -> every --flag in the first column of its README table
+    awk -v head="\`$1\` (" '
+        index($0, head) == 1 { found = 1; next }
+        found && /^\|/ { rows = 1; split($0, col, "|"); print col[2]; next }
+        rows { exit }' "$README" | grep -o -- '--[a-z][a-z-]*'
+}
+for tool in campaign analyze serve loadgen; do
+    bin="$BUILD_DIR/tools/tcppred_$tool"
+    "$bin" --no-such-flag >/dev/null 2>"$WORK/err"
+    check_exit "$tool unknown flag" 1 $?
+    grep -q "usage:" "$WORK/err" || { echo "FAIL: $tool unknown flag prints no usage"; FAILURES=$((FAILURES+1)); }
+    "$bin" --help >"$WORK/out" 2>"$WORK/help"
+    check_exit "$tool --help" 0 $?
+    [ -s "$WORK/out" ] && { echo "FAIL: $tool --help leaked to stdout"; FAILURES=$((FAILURES+1)); }
+    flags=$(readme_flags "tcppred_$tool")
+    [ -n "$flags" ] || { echo "FAIL: no README flag table found for tcppred_$tool"; FAILURES=$((FAILURES+1)); }
+    for flag in $flags; do
+        grep -qE -- "^  $flag( |\$)" "$WORK/help" || { echo "FAIL: $tool --help does not list $flag"; FAILURES=$((FAILURES+1)); }
+    done
+done
+for cmd in "$CAMPAIGN --out" "$CAMPAIGN --out $WORK/x.csv --paths" "$ANALYZE --trace" \
+           "$SERVE --port" "$LOADGEN --from-store"; do
+    set -- $cmd
+    what="${1##*/} ${*: -1}"
+    $cmd >/dev/null 2>"$WORK/err"
+    check_exit "missing value: $what" 1 $?
+    grep -q -- "missing value for ${*: -1}" "$WORK/err" || { echo "FAIL: $what does not name the flag"; FAILURES=$((FAILURES+1)); }
+done
+for cmd in "$SERVE --shards 0" "$SERVE --port 70000" "$SERVE --workers x" \
+           "$LOADGEN --count x" "$LOADGEN --port 0" "$LOADGEN --start -1" \
+           "$ANALYZE --predictors a,,b" "$SERVE --specs ," "$SERVE --specs fb:pftk," \
+           "$LOADGEN --specs a,,b" "$CAMPAIGN --out $WORK/x.csv --jobs -1"; do
+    set -- $cmd
+    flag=${*: -2:1}
+    what="${1##*/} $flag ${*: -1}"
+    $cmd >/dev/null 2>"$WORK/err"
+    check_exit "malformed value: $what" 2 $?
+    grep -q -- "bad value for $flag" "$WORK/err" || { echo "FAIL: $what error does not name $flag"; FAILURES=$((FAILURES+1)); }
+done
+# An empty list is as malformed as an empty item, in every list flag.
+"$ANALYZE" "$WORK/x.csv" --predictors '' >"$WORK/out" 2>"$WORK/err"
+check_exit "analyze --predictors ''" 2 $?
+grep -q -- "bad value for --predictors" "$WORK/err" || { echo "FAIL: empty --predictors error does not name the flag"; FAILURES=$((FAILURES+1)); }
+[ -s "$WORK/out" ] && { echo "FAIL: analyze --predictors '' printed a report"; FAILURES=$((FAILURES+1)); }
+for bin in "$SERVE" "$LOADGEN"; do
+    "$bin" --specs '' >/dev/null 2>"$WORK/err"
+    check_exit "${bin##*/} --specs ''" 2 $?
+    grep -q -- "bad value for --specs" "$WORK/err" || { echo "FAIL: ${bin##*/} empty --specs error does not name the flag"; FAILURES=$((FAILURES+1)); }
+done
+
+# --second-set selects the base config; the size, seed and transfer flags
+# apply on top of it wherever it stands on the command line. (A tool that
+# let it reset them would run the full campaign-2 grid here, hence the
+# timeout.)
+SS="--paths 1 --traces 1 --epochs 1 --transfer-s 1 --jobs 1"
+timeout 120 "$CAMPAIGN" --second-set $SS --out "$WORK/ss_first.csv" >/dev/null 2>&1
+check_exit "campaign --second-set before the size flags" 0 $?
+timeout 120 "$CAMPAIGN" $SS --second-set --out "$WORK/ss_last.csv" >/dev/null 2>&1
+check_exit "campaign --second-set after the size flags" 0 $?
+cmp -s "$WORK/ss_first.csv" "$WORK/ss_last.csv"
+check_exit "--second-set is order-independent" 0 $?
+
 # --- runtime failure -> 2
 "$ANALYZE" "$WORK/does-not-exist.csv" >/dev/null 2>"$WORK/err"
 check_exit "analyze missing dataset" 2 $?

@@ -197,6 +197,27 @@ TEST(engine_faults, apriori_fault_alone_scores_with_stale_inputs) {
     EXPECT_EQ(cond.n_stale, 1u);
 }
 
+TEST(engine_options_pair, smoothing_under_event_loss_averages_event_loss_rates) {
+    // Constant loss-event rate and RTT per trace, while the raw probe loss
+    // rate varies: a moving average of the inputs the predictor is shown
+    // changes nothing, so smoothing must leave every FB forecast as it is.
+    dataset data = grid_dataset();
+    for (auto& r : data.records) r.m.phat_events = r.m.phat > 0.0 ? 0.001953125 : 0.0;
+    const auto plain = evaluation_engine{{.use_event_loss = true}}.run_one(data, "fb:pftk");
+    const auto smoothed =
+        evaluation_engine{{.use_event_loss = true, .smooth_inputs = true, .smooth_window = 3}}
+            .run_one(data, "fb:pftk");
+    const auto want = plain.all_epochs();
+    const auto got = smoothed.all_epochs();
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_FALSE(got.empty());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_NEAR(got[i].predicted_bps, want[i].predicted_bps,
+                    1e-9 * want[i].predicted_bps)
+            << "path " << got[i].rec->path_id << " epoch " << got[i].rec->epoch_index;
+    }
+}
+
 TEST(engine_determinism, byte_identical_for_any_jobs_value) {
     const auto data = grid_dataset();
     const std::vector<std::string> specs{"fb:pftk", "10-MA-LSO", "0.8-HW",

@@ -20,9 +20,9 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
 # Big enough that whole-dataset retention is megabytes above the streamed
-# peak (the calibration gap), small enough to generate in well under a
-# minute: 4 paths x 2 traces x 1000 epochs = 8000 records.
-ARGS=(--paths 4 --traces 2 --epochs 1000 --transfer-s 0.5 --seed 23)
+# peak (the calibration gap, about 2.7 MB: over 5x MIN_GAP_KB), small enough
+# to generate in about a minute: 4 paths x 4 traces x 1000 epochs = 16000 records.
+ARGS=(--paths 4 --traces 4 --epochs 1000 --transfer-s 0.5 --seed 23)
 MIN_GAP_KB=512
 
 vm_peak() {  # file-with-metrics-summary -> VmPeak in kB

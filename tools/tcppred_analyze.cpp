@@ -5,10 +5,8 @@
 // and all of them are evaluated in ONE streaming pass over the records
 // (analysis::evaluate_stream), whichever input they come from.
 //
-//   tcppred_analyze DATASET.csv [--predictors SPEC,SPEC,...]
-//                   [--trace FILE] [--metrics-summary]
-//   tcppred_analyze --from-store STORE [--predictors ...]
-//   tcppred_analyze --from-trace RUN.jsonl
+//   tcppred_analyze DATASET.csv | --from-store STORE | --from-trace RUN.jsonl
+//                   [options]   (--help lists the flags)
 //
 // --from-store streams a chunked record store (tcppred_campaign
 // --format store) — one trace resident at a time, never the dataset — and
@@ -21,21 +19,22 @@
 // without the dataset: every "predict" event carries the scored error, its
 // fault flags and its input staleness.
 //
-// Exit codes: 0 success, 1 bad arguments, 2 runtime failure (unreadable or
-// malformed dataset/trace, unknown predictor spec).
+// Exit codes (the flag-table contract of core/cli.hpp): 0 success, 1 bad
+// arguments (unknown flag, missing value, extra or missing dataset), 2 a
+// malformed flag value (an empty --predictors item) or a runtime failure
+// (unreadable or malformed dataset/trace, unknown predictor spec).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/evaluation.hpp"
 #include "analysis/stats.hpp"
+#include "core/cli.hpp"
 #include "core/metrics.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace_writer.hpp"
@@ -45,26 +44,6 @@
 using namespace tcppred;
 
 namespace {
-
-void usage(const char* argv0) {
-    std::fprintf(stderr,
-                 "usage: %s DATASET.csv [--predictors SPEC,SPEC,...]\n"
-                 "          [--trace FILE] [--metrics-summary]\n"
-                 "       %s --from-store STORE [--predictors ...]\n"
-                 "       %s --from-trace RUN.jsonl\n"
-                 "  default predictors: 10-MA,10-MA-LSO,0.8-HW,0.8-HW-LSO,NWS\n"
-                 "  spec grammar: fb[:pftk|:pftk-full|:sqrt|:minwa], <n>-MA[-LSO],\n"
-                 "                <a>-EWMA[-LSO], <a>-HW[-LSO], <p>-AR[-LSO], NWS,\n"
-                 "                hybrid:<hb-spec>[:<k>]   (see README \"Predictor specs\")\n"
-                 "  --trace FILE      write a JSONL run trace (also $REPRO_TRACE)\n"
-                 "  --metrics-summary print counters and stage timings to stderr on exit\n"
-                 "  --from-store FILE stream-analyze a chunked record store\n"
-                 "                    (tcppred_campaign --format store) with one\n"
-                 "                    trace resident at a time, never the dataset\n"
-                 "  --from-trace FILE re-derive the conditioned RMSRE table from a\n"
-                 "                    previously written run trace\n",
-                 argv0, argv0, argv0);
-}
 
 /// Render an RMSRE with its sample count, or "n/a" when nothing was scored
 /// (core::rmsre of an empty series is NaN, not a perfect 0).
@@ -241,43 +220,25 @@ int main(int argc, char** argv) {
     bool metrics_summary = false;
     std::vector<std::string> specs{"10-MA", "10-MA-LSO", "0.8-HW", "0.8-HW-LSO", "NWS"};
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--predictors") {
-            specs.clear();
-            std::stringstream ss(next());
-            std::string item;
-            while (std::getline(ss, item, ',')) specs.push_back(item);
-        } else if (arg == "--from-trace") {
-            from_trace = next();
-        } else if (arg == "--from-store") {
-            from_store = next();
-        } else if (arg == "--trace") {
-            trace_file = next();
-        } else if (arg == "--metrics-summary") {
-            metrics_summary = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", arg.c_str());
-            usage(argv[0]);
-            return 1;
-        } else if (input.empty()) {
-            input = arg;
-        } else {
-            std::fprintf(stderr, "unexpected extra argument: %s\n", arg.c_str());
-            usage(argv[0]);
-            return 1;
-        }
-    }
+    namespace cli = core::cli;
+    cli::table flags(
+        "DATASET.csv [--predictors SPEC,...] [--trace FILE] [--metrics-summary]\n"
+        "--from-store STORE [--predictors ...]\n"
+        "--from-trace RUN.jsonl",
+        {{"--predictors", "SPEC,...",
+          "predictor specs (default 10-MA,10-MA-LSO,0.8-HW,0.8-HW-LSO,NWS):\n"
+          "fb[:pftk|:pftk-full|:sqrt|:minwa], <n>-MA, <a>-EWMA, <a>-HW, <p>-AR\n"
+          "(each with an optional -LSO), NWS, hybrid:<hb-spec>[:<k>]",
+          cli::list(specs)},
+         {"--trace", "FILE", "write a JSONL run trace (also $REPRO_TRACE)",
+          cli::text(trace_file)},
+         {"--metrics-summary", "", "print counters and stage timings to stderr on exit",
+          cli::set(metrics_summary)},
+         {"--from-store", "FILE", "stream-analyze a record store, one trace in memory",
+          cli::text(from_store)},
+         {"--from-trace", "FILE", "re-derive the conditioned RMSRE table from a run trace",
+          cli::text(from_trace)}});
+    if (const auto rc = flags.positional(input).parse(argc, argv)) return *rc;
 
     if (!from_trace.empty()) {
         if (!input.empty() || !from_store.empty()) {
@@ -296,7 +257,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     if (input.empty() && from_store.empty()) {
-        usage(argv[0]);
+        std::fputs(flags.usage(argv[0]).c_str(), stderr);
         return 1;
     }
 

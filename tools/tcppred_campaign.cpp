@@ -2,10 +2,7 @@
 // write the dataset CSV. The operational entry point for producing new
 // datasets without writing C++.
 //
-//   tcppred_campaign --out data/my.csv [--paths N] [--traces N]
-//                    [--epochs N] [--seed S] [--transfer-s T] [--second-set]
-//                    [--jobs N] [--faults SPEC] [--checkpoint-every N]
-//                    [--resume] [--trace FILE] [--metrics-summary]
+//   tcppred_campaign --out data/my.csv [options]   (--help lists the flags)
 //
 // Multi-process modes (DESIGN.md §15): --workers N supervises N worker
 // processes (one shard each) and merges their checkpoints into the CSV;
@@ -29,12 +26,13 @@
 #include <exception>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "core/checked_parse.hpp"
+#include "core/cli.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace_writer.hpp"
 #include "sim/chaos.hpp"
@@ -48,76 +46,39 @@ using namespace tcppred::testbed;
 
 namespace {
 
-void usage(const char* argv0) {
-    std::fprintf(stderr,
-                 "usage: %s --out FILE [options]\n"
-                 "  --out FILE        output CSV (required)\n"
-                 "  --paths N         number of paths        (default 35)\n"
-                 "  --traces N        traces per path        (default 2)\n"
-                 "  --epochs N        epochs per trace       (default 120)\n"
-                 "  --seed S          campaign seed          (default 20040501)\n"
-                 "  --transfer-s T    target transfer length (default 10)\n"
-                 "  --second-set      use the campaign-2 catalogue & plan\n"
-                 "  --cross-model M   open-loop cross-traffic model: packet (exact,\n"
-                 "                    default) or fluid (aggregate rate, far fewer\n"
-                 "                    events; also $REPRO_CROSS_MODEL)\n"
-                 "  --jobs N          worker threads; 1 = serial\n"
-                 "                    (default $REPRO_JOBS, else all cores)\n"
-                 "  --faults SPEC     measurement-fault rates, e.g.\n"
-                 "                    pathload=0.1,ping-timeout=0.02,abort=0.05\n"
-                 "                    (keys: pathload, ping-timeout, ping-truncate,\n"
-                 "                    abort, outage, seed; default $REPRO_FAULTS)\n"
-                 "  --checkpoint-every N  flush a resume checkpoint (FILE.ckpt)\n"
-                 "                    every N completed epochs (default 32 once\n"
-                 "                    checkpointing is on; SIGINT also flushes)\n"
-                 "  --resume          resume from FILE.ckpt if present\n"
-                 "  --workers N       supervise N worker processes (one shard\n"
-                 "                    each), restart crashed/hung ones, then merge\n"
-                 "                    shard checkpoints into FILE\n"
-                 "  --worker-jobs N   threads per worker process  (default 1)\n"
-                 "  --hang-timeout-s T  SIGKILL a worker whose heartbeat stalls\n"
-                 "                    this long (default 30)\n"
-                 "  --max-attempts N  launch attempts per shard   (default 50)\n"
-                 "  --shard i/N       run only shard i of N; writes the shard\n"
-                 "                    checkpoint FILE.shard-i-of-N.ckpt, no CSV\n"
-                 "                    (chaos via $REPRO_CHAOS=kill=P,hang=P,\n"
-                 "                    hang-s=T,seed=S applies here)\n"
-                 "  --merge N         merge shard checkpoints 0..N-1 into FILE\n"
-                 "  --format F        output format: csv (default) or store (the\n"
-                 "                    chunked columnar record store, DESIGN.md §16;\n"
-                 "                    epochs stream to disk instead of being held\n"
-                 "                    in RAM — convert to CSV with --convert)\n"
-                 "  --convert STORE   convert an existing record store to the CSV\n"
-                 "                    at --out (streaming; byte-identical to a CSV\n"
-                 "                    run of the same config; no campaign is run)\n"
-                 "  --trace FILE      write a JSONL run trace (also $REPRO_TRACE;\n"
-                 "                    off by default, zero hot-path cost when off)\n"
-                 "  --metrics-summary print counters and stage timings to stderr\n"
-                 "                    on exit (also $REPRO_METRICS=1)\n",
-                 argv0);
-}
-
 // SIGINT: stop claiming epochs; the campaign loop flushes a checkpoint and
 // the tool exits 130. sig_atomic_t keeps the handler async-signal-safe.
 volatile std::sig_atomic_t g_interrupted = 0;
 void on_sigint(int) { g_interrupted = 1; }
 
+// Flags that configure this process only. A supervisor's worker command
+// line is ours minus these (each worker gets --shard/--jobs/--resume
+// appended by the supervisor; traces and metrics stay in this process).
+constexpr std::string_view k_process_local[] = {
+    "--workers", "--worker-jobs", "--hang-timeout-s", "--max-attempts", "--jobs",
+    "--trace",   "--merge",       "--shard",          "--format",       "--convert",
+    "--metrics-summary", "--resume"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-    campaign_config cfg;
+    namespace cli = tcppred::core::cli;
+    using tcppred::net::cross_model;
     campaign_run_options run_opts;
     std::string out;
-    int jobs = 0;  // applied after parsing so --second-set cannot reset it
-    // Applied after parsing for the same reason: --second-set replaces cfg.
-    // The knob that supplied the name is kept for the diagnostic; an empty
-    // $REPRO_CROSS_MODEL means unset, as for $REPRO_JOBS.
-    std::optional<std::string> cross_model_name;
-    std::string cross_model_knob = "REPRO_CROSS_MODEL";
-    if (const char* env = std::getenv("REPRO_CROSS_MODEL"); env != nullptr && *env != '\0') {  // NOLINT(concurrency-mt-unsafe)
-        cross_model_name = env;
-    }
-    bool checkpointing = false;
+    // The campaign shape is applied after parsing, on top of the base
+    // config --second-set selects, so flag order does not matter.
+    bool second_set = false;
+    std::optional<int> paths;
+    std::optional<int> traces;
+    std::optional<int> epochs;
+    std::optional<std::uint64_t> seed;
+    std::optional<double> transfer_s;
+    std::optional<cross_model> cross;
+    const std::vector<std::pair<std::string, cross_model>> cross_models = {
+        {"packet", cross_model::packet}, {"fluid", cross_model::fluid}};
+    std::optional<int> checkpoint_every;
+    int jobs = 0;
     bool metrics_summary = false;
     std::string trace_file;
     int workers = 0;             // > 0 = supervisor mode
@@ -125,7 +86,7 @@ int main(int argc, char** argv) {
     double hang_timeout_s = 30.0;
     int max_attempts = 50;
     int merge_n = 0;             // > 0 = merge mode
-    std::string format = "csv";
+    bool store_mode = false;
     std::string convert_from;    // non-empty = convert mode
     std::optional<shard_ref> shard;  // set = worker mode
     tcppred::sim::fault_profile faults;
@@ -142,112 +103,90 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    // Numeric flag values go through core::parse_checked_* (one shared
-    // strict parser): "--paths foo" or "--epochs 12x" is a typed
-    // parse_error naming the flag, mapped to exit 2 below — the same
-    // contract as a bad predictor spec — never a silent atoi() zero.
-    try {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        const auto checked_int = [&](std::int64_t min, std::int64_t max) {
-            return tcppred::core::parse_checked_int(arg, next(), min, max);
-        };
-        if (arg == "--out") {
-            out = next();
-        } else if (arg == "--paths") {
-            cfg.paths = static_cast<int>(checked_int(1, 1000000));
-        } else if (arg == "--traces") {
-            cfg.traces_per_path = static_cast<int>(checked_int(1, 1000000));
-        } else if (arg == "--epochs") {
-            cfg.epochs_per_trace = static_cast<int>(checked_int(1, 1000000000));
-        } else if (arg == "--seed") {
-            cfg.seed = tcppred::core::parse_checked_u64(arg, next(), 0, UINT64_MAX);
-        } else if (arg == "--transfer-s") {
-            cfg.epoch.transfer = tcppred::core::seconds{
-                tcppred::core::parse_checked_double(arg, next(), 1e-9, 1e9)};
-        } else if (arg == "--second-set") {
-            cfg = campaign2_config(campaign_scale::normal);
-        } else if (arg == "--cross-model") {
-            cross_model_name = next();
-            cross_model_knob = arg;
-        } else if (arg == "--jobs") {
-            jobs = static_cast<int>(checked_int(0, 4096));  // 0 = auto
-        } else if (arg == "--faults") {
-            const char* spec = next();
-            try {
-                faults = tcppred::sim::fault_profile::parse(spec);
-            } catch (const std::invalid_argument& e) {
-                throw tcppred::core::parse_error(arg, spec, e.what());
-            }
-        } else if (arg == "--checkpoint-every") {
-            run_opts.checkpoint_every = static_cast<int>(checked_int(1, 1000000000));
-            checkpointing = true;
-        } else if (arg == "--resume") {
-            run_opts.resume = true;
-            checkpointing = true;
-        } else if (arg == "--workers") {
-            workers = static_cast<int>(checked_int(1, 4096));
-        } else if (arg == "--worker-jobs") {
-            worker_jobs = static_cast<int>(checked_int(1, 4096));
-        } else if (arg == "--hang-timeout-s") {
-            hang_timeout_s =
-                tcppred::core::parse_checked_double(arg, next(), 1e-3, 1e9);
-        } else if (arg == "--max-attempts") {
-            max_attempts = static_cast<int>(checked_int(1, 1000000000));
-        } else if (arg == "--shard") {
-            const char* spec = next();
-            shard = parse_shard(spec);
-            if (!shard) throw tcppred::core::parse_error(arg, spec, "want i/N with 0 <= i < N");
-        } else if (arg == "--merge") {
-            merge_n = static_cast<int>(checked_int(1, 1000000));
-        } else if (arg == "--format") {
-            format = next();
-            (void)tcppred::core::parse_checked_choice(arg, format, {"csv", "store"});
-        } else if (arg == "--convert") {
-            convert_from = next();
-        } else if (arg == "--trace") {
-            trace_file = next();
-        } else if (arg == "--metrics-summary") {
-            metrics_summary = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-            usage(argv[0]);
-            return 1;
+    cli::table flags(
+        "--out FILE [options]",
+        {{"--out", "FILE", "output CSV (required)", cli::text(out)},
+         {"--paths", "N", "number of paths (default 35)", cli::integer(paths, 1, 1000000)},
+         {"--traces", "N", "traces per path (default 2)", cli::integer(traces, 1, 1000000)},
+         {"--epochs", "N", "epochs per trace (default 120)",
+          cli::integer(epochs, 1, 1000000000)},
+         {"--seed", "S", "campaign seed (default 20040501)", cli::u64(seed, 0, UINT64_MAX)},
+         {"--transfer-s", "T", "target transfer length (default 10)",
+          cli::real(transfer_s, 1e-9, 1e9)},
+         {"--second-set", "", "campaign-2 catalogue & plan (the flags above still apply)",
+          cli::set(second_set)},
+         {"--cross-model", "M", "cross traffic: packet (default), fluid ($REPRO_CROSS_MODEL)",
+          cli::choice(cross, cross_models)},
+         {"--jobs", "N", "threads; 1 = serial (default $REPRO_JOBS, else all cores)",
+          cli::integer(jobs, 0, 4096)},
+         {"--faults", "SPEC",
+          "measurement-fault rates, e.g. pathload=0.1,abort=0.05 (keys: pathload,\n"
+          "ping-timeout, ping-truncate, abort, outage, seed; default $REPRO_FAULTS)",
+          [&](const std::string& f, const std::string& v) {
+              try {
+                  faults = tcppred::sim::fault_profile::parse(v);
+              } catch (const std::invalid_argument& e) {
+                  throw tcppred::core::parse_error(f, v, e.what());
+              }
+          }},
+         {"--checkpoint-every", "N", "flush FILE.ckpt every N epochs (32 under --resume)",
+          cli::integer(checkpoint_every, 1, 1000000000)},
+         {"--resume", "", "resume from FILE.ckpt if present", cli::set(run_opts.resume)},
+         {"--workers", "N", "supervise N shard worker processes, then merge into FILE",
+          cli::integer(workers, 1, 4096)},
+         {"--worker-jobs", "N", "threads per worker process (default 1)",
+          cli::integer(worker_jobs, 1, 4096)},
+         {"--hang-timeout-s", "T", "SIGKILL a worker whose heartbeat stalls this long (30)",
+          cli::real(hang_timeout_s, 1e-3, 1e9)},
+         {"--max-attempts", "N", "launch attempts per shard (default 50)",
+          cli::integer(max_attempts, 1, 1000000000)},
+         {"--shard", "i/N", "run shard i of N into FILE.shard-i-of-N.ckpt ($REPRO_CHAOS)",
+          [&](const std::string& f, const std::string& v) {
+              shard = parse_shard(v);
+              if (!shard) throw tcppred::core::parse_error(f, v, "want i/N with 0 <= i < N");
+          }},
+         {"--merge", "N", "merge shard checkpoints 0..N-1 into FILE",
+          cli::integer(merge_n, 1, 1000000)},
+         {"--format", "F", "csv (default) or store (chunked record store, DESIGN.md §16)",
+          cli::choice(store_mode, {{"csv", false}, {"store", true}})},
+         {"--convert", "STORE", "convert a record store to the CSV at --out; no campaign",
+          cli::text(convert_from)},
+         {"--trace", "FILE", "write a JSONL run trace (also $REPRO_TRACE)",
+          cli::text(trace_file)},
+         {"--metrics-summary", "", "print counters and timings on exit ($REPRO_METRICS)",
+          cli::set(metrics_summary)}});
+    if (const auto rc = flags.parse(argc, argv)) return *rc;
+    // An empty $REPRO_CROSS_MODEL means unset, as for $REPRO_JOBS.
+    if (const char* env = std::getenv("REPRO_CROSS_MODEL");  // NOLINT(concurrency-mt-unsafe)
+        !cross && env != nullptr && *env != '\0') {
+        try {
+            cli::choice(cross, cross_models)("REPRO_CROSS_MODEL", env);
+        } catch (const tcppred::core::parse_error& e) {
+            std::fprintf(stderr, "%s\n", e.what());
+            return 2;
         }
     }
-    if (cross_model_name) {
-        constexpr tcppred::net::cross_model models[] = {tcppred::net::cross_model::packet,
-                                                        tcppred::net::cross_model::fluid};
-        cfg.epoch.cross = models[tcppred::core::parse_checked_choice(
-            cross_model_knob, *cross_model_name, {"packet", "fluid"})];
-    }
-    } catch (const tcppred::core::parse_error& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        usage(argv[0]);
-        return 2;
-    }
-    if (out.empty() || cfg.paths <= 0 || cfg.traces_per_path <= 0 ||
-        cfg.epochs_per_trace <= 0) {
-        usage(argv[0]);
+    if (out.empty()) {
+        std::fputs(flags.usage(argv[0]).c_str(), stderr);
         return 1;
     }
+
+    campaign_config cfg =
+        second_set ? campaign2_config(campaign_scale::normal) : campaign_config{};
+    if (paths) cfg.paths = *paths;
+    if (traces) cfg.traces_per_path = *traces;
+    if (epochs) cfg.epochs_per_trace = *epochs;
+    if (seed) cfg.seed = *seed;
+    if (transfer_s) cfg.epoch.transfer = tcppred::core::seconds{*transfer_s};
+    if (cross) cfg.epoch.cross = *cross;
     cfg.jobs = jobs;
     cfg.faults = faults;
+    if (checkpoint_every) run_opts.checkpoint_every = *checkpoint_every;
+    bool checkpointing = checkpoint_every || run_opts.resume;
     if ((workers > 0) + (merge_n > 0) + (shard ? 1 : 0) > 1) {
         std::fprintf(stderr, "--workers, --shard and --merge are mutually exclusive\n");
         return 1;
     }
-    const bool store_mode = format == "store";
     if (!convert_from.empty() &&
         (workers > 0 || merge_n > 0 || shard || checkpointing)) {
         std::fprintf(stderr,
@@ -381,30 +320,14 @@ int main(int argc, char** argv) {
                     return merge_shard_checkpoints_to_store(mcfg, ckpts, dest);
                 };
             }
-            // Worker command line = ours minus supervision/observability
-            // flags (each worker gets --shard/--jobs/--resume appended by
-            // the supervisor; traces and metrics stay in this process).
-            static const std::set<std::string> drop_with_value = {
-                "--workers", "--worker-jobs", "--hang-timeout-s", "--max-attempts",
-                "--jobs",    "--trace",       "--merge",          "--shard",
-                "--format",  "--convert"};
-            static const std::set<std::string> drop_flag = {"--metrics-summary",
-                                                            "--resume"};
-            static const std::set<std::string> with_value = {
-                "--out",  "--paths",  "--traces", "--epochs",          "--seed",
-                "--transfer-s", "--cross-model", "--faults", "--checkpoint-every"};
             sup.worker_argv.push_back(argv[0]);
-            for (int i = 1; i < argc; ++i) {
-                const std::string a = argv[i];
-                if (drop_with_value.count(a) > 0) {
-                    ++i;
+            for (const cli::token& t : flags.consumed()) {
+                if (std::find(std::begin(k_process_local), std::end(k_process_local),
+                              t.flag) != std::end(k_process_local)) {
                     continue;
                 }
-                if (drop_flag.count(a) > 0) continue;
-                sup.worker_argv.push_back(a);
-                if (with_value.count(a) > 0 && i + 1 < argc) {
-                    sup.worker_argv.push_back(argv[++i]);
-                }
+                sup.worker_argv.push_back(t.flag);
+                if (t.value) sup.worker_argv.push_back(*t.value);
             }
             std::fprintf(stderr,
                          "supervising %d worker(s) over %d paths x %d traces x %d "

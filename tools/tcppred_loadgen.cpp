@@ -17,8 +17,10 @@
 // range, so a SIGINT-snapshot-restart split replay concatenates to the
 // uninterrupted output.
 //
-// Exit codes: 0 success, 1 bad arguments, 2 runtime failure (daemon
-// unreachable, protocol error, malformed store, bad spec).
+// Exit codes (the flag-table contract of core/cli.hpp): 0 success, 1 bad
+// arguments (unknown flag, missing value, nothing to do), 2 a malformed
+// flag value (including an empty --specs item) or a runtime failure
+// (daemon unreachable, protocol error, malformed store, bad spec).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -29,7 +31,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -40,7 +41,7 @@
 #include <vector>
 
 #include "analysis/evaluation.hpp"
-#include "core/checked_parse.hpp"
+#include "core/cli.hpp"
 #include "core/hexfloat.hpp"
 #include "core/predictor_registry.hpp"
 #include "obs/stopwatch.hpp"
@@ -51,25 +52,6 @@
 using namespace tcppred;
 
 namespace {
-
-void usage(const char* argv0) {
-    std::fprintf(stderr,
-                 "usage: %s --from-store FILE [options]\n"
-                 "  --from-store FILE  campaign record store to replay (required)\n"
-                 "  --socket PATH      daemon Unix socket to replay against\n"
-                 "  --port N           daemon TCP port on 127.0.0.1\n"
-                 "  --specs LIST       comma-separated predictor specs; must match\n"
-                 "                     the daemon's --specs (default fb:pftk)\n"
-                 "  --out FILE         write live prediction lines here\n"
-                 "  --offline FILE     write the offline engine's prediction lines\n"
-                 "                     (no daemon needed when --socket/--port are\n"
-                 "                     absent)\n"
-                 "  --bench FILE       write BENCH_serve.json-style throughput and\n"
-                 "                     latency stats for the live replay\n"
-                 "  --start N          first trace (sorted order) to replay\n"
-                 "  --count N          number of traces to replay (default: rest)\n",
-                 argv0);
-}
 
 /// A blocking line-oriented client connection to the daemon.
 class client {
@@ -148,21 +130,6 @@ private:
     std::string buf_;
 };
 
-std::vector<std::string> split_specs(const std::string& list) {
-    std::vector<std::string> specs;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t pos = list.find(',', start);
-        const std::string item = pos == std::string::npos
-                                     ? list.substr(start)
-                                     : list.substr(start, pos - start);
-        if (!item.empty()) specs.push_back(item);
-        if (pos == std::string::npos) break;
-        start = pos + 1;
-    }
-    return specs;
-}
-
 std::vector<std::string> split_ws(const std::string& line) {
     std::vector<std::string> toks;
     std::size_t i = 0;
@@ -195,61 +162,35 @@ int main(int argc, char** argv) {
     std::string store_file;
     std::string socket_path;
     int port = -1;
-    std::string specs_list = "fb:pftk";
+    std::vector<std::string> specs{"fb:pftk"};
     std::string out_file;
     std::string offline_file;
     std::string bench_file;
     std::size_t start_trace = 0;
     std::int64_t count_traces = -1;
 
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            const auto next = [&]() -> const char* {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-                    std::exit(1);
-                }
-                return argv[++i];
-            };
-            const auto checked_int = [&](std::int64_t min, std::int64_t max) {
-                return core::parse_checked_int(arg, next(), min, max);
-            };
-            if (arg == "--from-store") {
-                store_file = next();
-            } else if (arg == "--socket") {
-                socket_path = next();
-            } else if (arg == "--port") {
-                port = static_cast<int>(checked_int(1, 65535));
-            } else if (arg == "--specs") {
-                specs_list = next();
-            } else if (arg == "--out") {
-                out_file = next();
-            } else if (arg == "--offline") {
-                offline_file = next();
-            } else if (arg == "--bench") {
-                bench_file = next();
-            } else if (arg == "--start") {
-                start_trace = static_cast<std::size_t>(checked_int(0, 1000000000));
-            } else if (arg == "--count") {
-                count_traces = checked_int(0, 1000000000);
-            } else if (arg == "--help" || arg == "-h") {
-                usage(argv[0]);
-                return 0;
-            } else {
-                std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-                usage(argv[0]);
-                return 1;
-            }
-        }
-    } catch (const core::parse_error& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        usage(argv[0]);
-        return 2;
-    }
+    namespace cli = core::cli;
+    cli::table flags(
+        "--from-store FILE [options]",
+        {{"--from-store", "FILE", "campaign record store to replay (required)",
+          cli::text(store_file)},
+         {"--socket", "PATH", "daemon Unix socket to replay to", cli::text(socket_path)},
+         {"--port", "N", "daemon TCP port on 127.0.0.1", cli::integer(port, 1, 65535)},
+         {"--specs", "LIST", "predictor specs, as the daemon's --specs (default fb:pftk)",
+          cli::list(specs)},
+         {"--out", "FILE", "write live prediction lines here", cli::text(out_file)},
+         {"--offline", "FILE", "write the offline engine's prediction lines (no daemon)",
+          cli::text(offline_file)},
+         {"--bench", "FILE", "write throughput and latency stats of the live replay",
+          cli::text(bench_file)},
+         {"--start", "N", "first trace (sorted order) to replay",
+          cli::integer(start_trace, 0, 1000000000)},
+         {"--count", "N", "number of traces to replay (default: rest)",
+          cli::integer(count_traces, 0, 1000000000)}});
+    if (const auto rc = flags.parse(argc, argv)) return *rc;
 
     if (store_file.empty()) {
-        usage(argv[0]);
+        std::fputs(flags.usage(argv[0]).c_str(), stderr);
         return 1;
     }
     const bool live = !socket_path.empty() || port > 0;
@@ -257,11 +198,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "nothing to do: need --socket/--port (live replay) and/or "
                      "--offline FILE\n");
-        return 1;
-    }
-    const std::vector<std::string> specs = split_specs(specs_list);
-    if (specs.empty()) {
-        std::fprintf(stderr, "--specs must name at least one predictor spec\n");
         return 1;
     }
 
@@ -428,9 +364,6 @@ int main(int argc, char** argv) {
                 std::fprintf(stderr, "bench stats written to %s\n", bench_file.c_str());
             }
         }
-    } catch (const core::predictor_spec_error& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;

@@ -10,20 +10,21 @@
 // snapshot through the live apply path and answers PREDICT requests
 // bitwise-identically to the process that wrote it.
 //
-// Exit codes: 0 success (including signal-driven shutdown), 1 bad
-// arguments, 2 runtime failure (malformed flag value, bad predictor spec,
+// Exit codes (the flag-table contract of core/cli.hpp): 0 success
+// (including signal-driven shutdown), 1 bad arguments (unknown flag,
+// missing value, no listen address), 2 a malformed flag value (including
+// an empty --specs item) or a runtime failure (bad predictor spec,
 // socket/snapshot errors).
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "core/checked_parse.hpp"
+#include "core/cli.hpp"
 #include "core/predictor_registry.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace_writer.hpp"
@@ -33,110 +34,49 @@
 
 namespace {
 
-void usage(const char* argv0) {
-    std::fprintf(stderr,
-                 "usage: %s --socket PATH | --port N [options]\n"
-                 "  --socket PATH       listen on a Unix-domain socket\n"
-                 "  --port N            listen on 127.0.0.1:N (0 = ephemeral;\n"
-                 "                      the bound port is printed after READY)\n"
-                 "  --specs LIST        comma-separated predictor specs served\n"
-                 "                      per path (default fb:pftk)\n"
-                 "  --shards N          path-table mutex stripes (default 8)\n"
-                 "  --workers N         connection workers       (default 4)\n"
-                 "  --max-inflight N    admission bound          (default 64)\n"
-                 "  --snapshot FILE     snapshot file (written on SIGINT and on\n"
-                 "                      SNAPSHOT requests)\n"
-                 "  --snapshot-every N  also snapshot every N observations\n"
-                 "                      (default off)\n"
-                 "  --resume            replay --snapshot FILE at startup when\n"
-                 "                      it exists\n"
-                 "  --metrics-summary   print counters to stderr on exit\n",
-                 argv0);
-}
-
 // Lock-free atomics are async-signal-safe; the handler writes the same flag
 // the server's accept loop and connection workers poll every tick.
 std::atomic<bool> g_stop{false};
 void on_stop_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
-
-std::vector<std::string> split_specs(const std::string& list) {
-    std::vector<std::string> specs;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t pos = list.find(',', start);
-        const std::string item = pos == std::string::npos
-                                     ? list.substr(start)
-                                     : list.substr(start, pos - start);
-        if (!item.empty()) specs.push_back(item);
-        if (pos == std::string::npos) break;
-        start = pos + 1;
-    }
-    return specs;
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
     std::string socket_path;
     int port = -1;
-    std::string specs_list = "fb:pftk";
+    std::vector<std::string> specs{"fb:pftk"};
     std::size_t shards = 8;
     tcppred::serve::server_config scfg;
     bool resume = false;
     bool metrics_summary = false;
 
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            const auto next = [&]() -> const char* {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-                    std::exit(1);
-                }
-                return argv[++i];
-            };
-            const auto checked_int = [&](std::int64_t min, std::int64_t max) {
-                return tcppred::core::parse_checked_int(arg, next(), min, max);
-            };
-            if (arg == "--socket") {
-                socket_path = next();
-            } else if (arg == "--port") {
-                port = static_cast<int>(checked_int(0, 65535));
-            } else if (arg == "--specs") {
-                specs_list = next();
-            } else if (arg == "--shards") {
-                shards = static_cast<std::size_t>(checked_int(1, 4096));
-            } else if (arg == "--workers") {
-                scfg.workers = static_cast<std::size_t>(checked_int(1, 4096));
-            } else if (arg == "--max-inflight") {
-                scfg.max_inflight = static_cast<std::size_t>(checked_int(1, 65536));
-            } else if (arg == "--snapshot") {
-                scfg.snapshot_file = next();
-            } else if (arg == "--snapshot-every") {
-                scfg.snapshot_every =
-                    static_cast<std::uint64_t>(checked_int(1, 1000000000));
-            } else if (arg == "--resume") {
-                resume = true;
-            } else if (arg == "--metrics-summary") {
-                metrics_summary = true;
-            } else if (arg == "--help" || arg == "-h") {
-                usage(argv[0]);
-                return 0;
-            } else {
-                std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-                usage(argv[0]);
-                return 1;
-            }
-        }
-    } catch (const tcppred::core::parse_error& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        usage(argv[0]);
-        return 2;
-    }
+    namespace cli = tcppred::core::cli;
+    cli::table flags(
+        "--socket PATH | --port N [options]",
+        {{"--socket", "PATH", "listen on a Unix-domain socket", cli::text(socket_path)},
+         {"--port", "N", "listen on 127.0.0.1:N (0 = ephemeral, printed after READY)",
+          cli::integer(port, 0, 65535)},
+         {"--specs", "LIST", "comma-separated predictor specs (default fb:pftk)",
+          cli::list(specs)},
+         {"--shards", "N", "path-table mutex stripes (default 8)",
+          cli::integer(shards, 1, 4096)},
+         {"--workers", "N", "connection workers (default 4)",
+          cli::integer(scfg.workers, 1, 4096)},
+         {"--max-inflight", "N", "admission bound (default 64)",
+          cli::integer(scfg.max_inflight, 1, 65536)},
+         {"--snapshot", "FILE", "snapshot file, written on SIGINT and SNAPSHOT requests",
+          cli::text(scfg.snapshot_file)},
+         {"--snapshot-every", "N", "also snapshot every N observations (default off)",
+          cli::integer(scfg.snapshot_every, 1, 1000000000)},
+         {"--resume", "", "replay --snapshot FILE at startup when it exists",
+          cli::set(resume)},
+         {"--metrics-summary", "", "print counters to stderr on exit",
+          cli::set(metrics_summary)}});
+    if (const auto rc = flags.parse(argc, argv)) return *rc;
 
     if (socket_path.empty() && port < 0) {
         std::fprintf(stderr, "need a listen address: --socket PATH or --port N\n");
-        usage(argv[0]);
+        std::fputs(flags.usage(argv[0]).c_str(), stderr);
         return 1;
     }
     if (resume && scfg.snapshot_file.empty()) {
@@ -145,11 +85,6 @@ int main(int argc, char** argv) {
     }
     if (scfg.snapshot_every > 0 && scfg.snapshot_file.empty()) {
         std::fprintf(stderr, "--snapshot-every needs --snapshot FILE\n");
-        return 1;
-    }
-    const std::vector<std::string> specs = split_specs(specs_list);
-    if (specs.empty()) {
-        std::fprintf(stderr, "--specs must name at least one predictor spec\n");
         return 1;
     }
 
